@@ -7,7 +7,6 @@ from .core import (
     InputError,
     Subgraph,
     Window,
-    WindowSubgraph,
     classify_components,
     connected_components,
     distance,

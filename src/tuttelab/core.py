@@ -184,23 +184,18 @@ class Window:
 
 @dataclass(frozen=True)
 class Subgraph:
-    """An induced subgraph together with the map back to original ids."""
+    """An induced subwindow; ``original_ids[new_id]`` maps ids back."""
 
-    graph: Graph
-    original_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class WindowSubgraph:
     window: Window
     original_ids: tuple[int, ...]
 
+    @property
+    def graph(self) -> Graph:
+        return self.window.graph
+
 
 def remove_vertices(g: Graph, removed: Iterable[int]) -> Subgraph:
-    """Induced subgraph on V(g) minus ``removed``, with an id map.
-
-    ``original_ids[new_id]`` recovers the id a surviving vertex had in g.
-    """
+    """Induced subgraph on V(g) minus ``removed``, as a closed window."""
     removed = set(removed)
     for v in removed:
         if not 0 <= v < g.vertex_count:
@@ -211,17 +206,17 @@ def remove_vertices(g: Graph, removed: Iterable[int]) -> Subgraph:
         tuple(new_id[u] for u in g.adjacency[v] if u not in removed)
         for v in keep
     )
-    return Subgraph(Graph(len(keep), adjacency), tuple(keep))
+    return Subgraph(Window.closed(Graph(len(keep), adjacency)), tuple(keep))
 
 
-def remove_window_vertices(w: Window, removed: Iterable[int]) -> WindowSubgraph:
+def remove_window_vertices(w: Window, removed: Iterable[int]) -> Subgraph:
     """Like :func:`remove_vertices` but carrying window marks along."""
     sub = remove_vertices(w.graph, removed)
     interior = frozenset(
         i for i, v in enumerate(sub.original_ids) if v in w.interior
     )
     stubs = tuple(w.external_stubs[v] for v in sub.original_ids)
-    return WindowSubgraph(Window(sub.graph, interior, stubs), sub.original_ids)
+    return Subgraph(Window(sub.graph, interior, stubs), sub.original_ids)
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -230,24 +225,7 @@ def connected_components(g: Graph) -> list[list[int]]:
     Blocks are sorted internally and ordered by least vertex id, so the
     partition is deterministic.
     """
-    seen = [False] * g.vertex_count
-    out: list[list[int]] = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in g.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    block.append(u)
-                    queue.append(u)
-        block.sort()
-        out.append(block)
-    return out
+    return classify_components(Window.closed(g), ())[0]
 
 
 def distance(g: Graph, u: int, v: int) -> int | None:
@@ -277,7 +255,8 @@ def classify_components(
 
     A component containing any frontier vertex is classified infinite;
     every other component is finite.  Both lists are ordered by least
-    vertex id.
+    vertex id.  Adjacency-list search in O(n + m) memory, unlike the
+    bitmask kernels of the verifiers.
     """
     xset = set(x)
     for v in xset:

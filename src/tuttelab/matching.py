@@ -14,14 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .core import (
-    Edge,
-    Graph,
-    InputError,
-    iter_subsets,
-    mask_components,
-    remove_vertices,
-)
+from .core import Edge, Graph, InputError, remove_vertices
+from .verifier import finite_cuts
 
 
 @dataclass(frozen=True)
@@ -210,14 +204,30 @@ def bipartite_max_matching(g: Graph, side: Iterable[int]) -> MatchingState:
                     queue.append(k)
         return reachable_free != inf
 
-    def dfs(i: int) -> bool:
-        for j in adj[i]:
-            k = mate_r[j]
-            if k == -1 or (dist[k] == dist[i] + 1 and dfs(k)):
-                mate_l[i] = j
-                mate_r[j] = i
-                return True
-        dist[i] = inf
+    def dfs(root: int) -> bool:
+        # Augmenting-path search along the BFS layers on an explicit stack of
+        # (left vertex, neighbour iterator), so path length is not bounded by
+        # the recursion limit; a dead-end vertex is retired (dist = inf).
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            i, scan = stack[-1]
+            step = dist[i] + 1
+            for j in scan:
+                k = mate_r[j]
+                if k == -1 or dist[k] == step:
+                    break
+            else:
+                dist[i] = inf
+                stack.pop()
+                continue
+            if k != -1:
+                stack.append((k, iter(adj[k])))
+                continue
+            # j is free: flip the path, each vertex passing its partner down.
+            for i, _ in reversed(stack):
+                j, mate_l[i] = mate_l[i], j
+                mate_r[mate_l[i]] = i
+            return True
         return False
 
     while bfs():
@@ -246,23 +256,14 @@ def tutte_berge_deficiency(g: Graph, max_x: int) -> DeficiencyReport:
     """
     if max_x < 0:
         raise InputError("max_x must be nonnegative")
-    n = g.vertex_count
-    masks = g.neighbor_masks
-    full = g.full_mask
     best = None
     best_witness: tuple[int, ...] = ()
-    for xs in iter_subsets(range(n), min(max_x, n)):
-        xmask = 0
-        for v in xs:
-            xmask |= 1 << v
+    for xs, _, comps in finite_cuts(g, 0, max_x):
         odd = 0
-        for comp in mask_components(masks, full & ~xmask):
-            if comp.bit_count() & 1:
-                odd += 1
+        for comp in comps:
+            odd += comp.bit_count() & 1
         value = odd - len(xs)
         if best is None or value > best:
             best = value
             best_witness = xs
-    if best is None:
-        return DeficiencyReport(0, ())
     return DeficiencyReport(best, best_witness)

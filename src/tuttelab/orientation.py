@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .core import Edge, Graph, InputError
+from .core import Edge, Graph, InputError, iter_subsets
 from .matching import MatchingState, bipartite_max_matching
 
 
@@ -333,26 +332,27 @@ def check_gadget_hall_expansion(
         best_cred: Fraction | None = None
         best_cred_f: tuple[int, ...] = ()
         checked = 0
-        for size in range(1, min(max_f, len(nodes)) + 1):
-            for fs in combinations(nodes, size):
-                checked += 1
-                nmask = 0
-                for node in fs:
-                    nmask |= masks[node]
-                count = nmask.bit_count()
-                raw = Fraction(count, size)
-                if side_name == "vertex":
-                    owners = {gadget.owner_of(node) for node in fs}
-                    credit = Fraction(sum(stubs[v] for v in owners), 2)
-                else:
-                    credit = Fraction(0)
-                cred = (count + credit) / size if credit else raw
-                if best_raw is None or raw < best_raw:
-                    best_raw = raw
-                    best_raw_f = fs
-                if best_cred is None or cred < best_cred:
-                    best_cred = cred
-                    best_cred_f = fs
+        for fs in iter_subsets(nodes, max_f):
+            if not fs:
+                continue
+            checked += 1
+            nmask = 0
+            for node in fs:
+                nmask |= masks[node]
+            count = nmask.bit_count()
+            raw = Fraction(count, len(fs))
+            if side_name == "vertex":
+                owners = {gadget.owner_of(node) for node in fs}
+                credit = Fraction(sum(stubs[v] for v in owners), 2)
+            else:
+                credit = Fraction(0)
+            cred = (count + credit) / len(fs) if credit else raw
+            if best_raw is None or raw < best_raw:
+                best_raw = raw
+                best_raw_f = fs
+            if best_cred is None or cred < best_cred:
+                best_cred = cred
+                best_cred_f = fs
         return HallSide(
             side=side_name,
             checked=checked,

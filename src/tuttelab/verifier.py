@@ -18,15 +18,19 @@ at least k vertices,
 Finiteness of a component follows the window's frontier rule: a component
 touching the frontier would continue past the truncation and is treated
 as infinite.
+
+Every X-enumeration (the Tutte check, the expansion lemma, the matching
+module's Tutte-Berge oracle) runs through one kernel, :func:`finite_cuts`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
+    Graph,
     InputError,
     Window,
     iter_subsets,
@@ -91,6 +95,44 @@ class ExpansionReport:
     checked: int
 
 
+def _finite_components(
+    masks: Sequence[int], avail: int, frontier_mask: int
+) -> list[int]:
+    """Components of the subgraph induced on avail that miss the frontier."""
+    comps = mask_components(masks, avail)
+    if not frontier_mask:
+        return comps
+    return [comp for comp in comps if not comp & frontier_mask]
+
+
+def finite_cuts(
+    g: Graph, frontier_mask: int, max_x: int
+) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
+    """Yield (X, mask of X, finite component masks of g - X) for |X| <= max_x.
+
+    X runs over the vertex subsets in (size, lexicographic) order,
+    starting with the empty set.  A component is finite when it contains
+    no vertex of frontier_mask; with frontier_mask 0 every component is.
+    """
+    masks = g.neighbor_masks
+    full = g.full_mask
+    for xs in iter_subsets(range(g.vertex_count), max_x):
+        xmask = mask_of(xs)
+        yield xs, xmask, _finite_components(masks, full & ~xmask, frontier_mask)
+
+
+def _mask_boundary(masks: Sequence[int], stubs: Sequence[int], f: int) -> int:
+    """Edges leaving the vertex mask f, plus the external stubs of f."""
+    count = 0
+    rest = f
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        count += (masks[v] & ~f).bit_count() + stubs[v]
+    return count
+
+
 def hull_report(w: Window, x: Iterable[int]) -> HullReport:
     """Components of w.graph - x classified by the frontier rule."""
     xs = tuple(sorted(set(x)))
@@ -100,16 +142,11 @@ def hull_report(w: Window, x: Iterable[int]) -> HullReport:
             raise InputError(f"vertex {v} out of range")
     masks = w.graph.neighbor_masks
     avail = w.graph.full_mask & ~mask_of(xs)
-    fmask = w.frontier_mask
-    finite = []
-    odd = []
-    for comp in mask_components(masks, avail):
-        if comp & fmask:
-            continue
-        verts = vertices_of(comp)
-        finite.append(verts)
-        if len(verts) % 2 == 1:
-            odd.append(verts)
+    finite = [
+        vertices_of(comp)
+        for comp in _finite_components(masks, avail, w.frontier_mask)
+    ]
+    odd = [verts for verts in finite if len(verts) % 2 == 1]
     hull_odd = frozenset(xs) | {v for c in odd for v in c}
     hull_fin = frozenset(xs) | {v for c in finite for v in c}
     return HullReport(xs, tuple(odd), tuple(finite), hull_odd, hull_fin)
@@ -132,34 +169,28 @@ def check_tutte_eps_k(
         raise InputError("k must be positive")
     if max_x < 1:
         raise InputError("max_x must be positive")
-    g = w.graph
-    masks = g.neighbor_masks
-    full = g.full_mask
-    fmask = w.frontier_mask
+    masks = w.graph.neighbor_masks
     violations: list[Violation] = []
     candidates = 0
-    for xs in iter_subsets(range(g.vertex_count), max_x):
+    for xs, xmask, finite in finite_cuts(w.graph, w.frontier_mask, max_x):
         candidates += 1
-        xmask = mask_of(xs)
         odd_count = 0
         hull = xmask
-        for comp in mask_components(masks, full & ~xmask):
-            if comp & fmask:
-                continue
+        for comp in finite:
             if comp.bit_count() & 1:
                 odd_count += 1
                 hull |= comp
+        hull_size = hull.bit_count()
         if odd_count > len(xs):
             violations.append(
                 Violation(
                     kind="tutte",
                     x=xs,
                     count=odd_count,
-                    hull_size=hull.bit_count(),
+                    hull_size=hull_size,
                     slack=Fraction(len(xs) - odd_count),
                 )
             )
-        hull_size = hull.bit_count()
         if hull_size >= k and mask_is_connected(masks, hull):
             slack = len(xs) - odd_count - epsilon * hull_size
             if slack < 0:
@@ -182,13 +213,7 @@ def edge_boundary(w: Window, f: Iterable[int]) -> int:
     for v in fset:
         if not 0 <= v < n:
             raise InputError(f"vertex {v} out of range")
-    fmask = mask_of(fset)
-    masks = w.graph.neighbor_masks
-    count = 0
-    for v in fset:
-        count += (masks[v] & ~fmask).bit_count()
-        count += w.external_stubs[v]
-    return count
+    return _mask_boundary(w.graph.neighbor_masks, w.external_stubs, mask_of(fset))
 
 
 def expansion_constant(
@@ -222,10 +247,7 @@ def expansion_constant(
         if connected_only and not mask_is_connected(masks, fmask):
             continue
         checked += 1
-        boundary = 0
-        for v in fs:
-            boundary += (masks[v] & ~fmask).bit_count()
-            boundary += stubs[v]
+        boundary = _mask_boundary(masks, stubs, fmask)
         ratio = Fraction(boundary, len(fs))
         if best is None or ratio < best:
             best = ratio
@@ -246,8 +268,6 @@ def expansion_constant(
 def epsilon_from_delta(delta: Fraction | int, d: int) -> Fraction:
     """Quantitative-Tutte epsilon implied by expansion delta on a
     d-regular graph: exactly delta / d."""
-    if d == 0:
-        raise InputError("degree d must be positive")
     delta = Fraction(delta)
     if delta < 0 or d < 1:
         raise InputError("need delta >= 0 and d >= 1")
@@ -281,49 +301,36 @@ def verify_expansion_lemma(
             )
     eps = epsilon_from_delta(delta, d)
     masks = g.neighbor_masks
-    full = g.full_mask
-    fmask = w.frontier_mask
     stubs = w.external_stubs
     violations: list[Violation] = []
     candidates = 0
     if max_x > 0:
-        for xs in iter_subsets(range(g.vertex_count), max_x):
+        for xs, xmask, finite in finite_cuts(g, w.frontier_mask, max_x):
             candidates += 1
-            xmask = mask_of(xs)
-            fin_count = 0
             hull = xmask
-            for comp in mask_components(masks, full & ~xmask):
-                if comp & fmask:
-                    continue
-                fin_count += 1
+            # A boundary violation's count is its component's 1-based index.
+            for index, comp in enumerate(finite, 1):
                 hull |= comp
-                boundary = 0
-                cv = comp
-                while cv:
-                    low = cv & -cv
-                    cv ^= low
-                    v = low.bit_length() - 1
-                    boundary += (masks[v] & ~comp).bit_count()
-                    boundary += stubs[v]
+                boundary = _mask_boundary(masks, stubs, comp)
                 if boundary < d:
                     violations.append(
                         Violation(
                             kind="boundary",
                             x=xs,
-                            count=fin_count,
+                            count=index,
                             hull_size=comp.bit_count(),
                             slack=Fraction(boundary - d),
                             component=vertices_of(comp),
                         )
                     )
             hull_size = hull.bit_count()
-            slack = len(xs) - fin_count - eps * hull_size
+            slack = len(xs) - len(finite) - eps * hull_size
             if slack < 0:
                 violations.append(
                     Violation(
                         kind="expansion",
                         x=xs,
-                        count=fin_count,
+                        count=len(finite),
                         hull_size=hull_size,
                         slack=slack,
                     )

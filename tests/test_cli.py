@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from tuttelab import fixture, format_graph, format_window, parse_window_text
+from tuttelab import Graph, fixture, format_graph, format_window, parse_window_text
 from tuttelab.cli import main
 
 
@@ -165,6 +167,25 @@ class TestOrient:
         code, out, _ = run_cli(capsys, "orient", cycle4_file, "--method", "gadget")
         assert code == 0
         assert len(out.splitlines()) == 4
+
+    def test_gadget_route_on_long_shuffled_cycle(self, capsys, tmp_path):
+        # Augmenting paths here run far past the default recursion limit.
+        n = 4000
+        perm = list(range(n))
+        random.Random(0).shuffle(perm)
+        g = Graph.from_edges(n, [(perm[v], perm[(v + 1) % n]) for v in range(n)])
+        path = tmp_path / "cycle4000.txt"
+        path.write_text(format_graph(g))
+        code, out, _ = run_cli(capsys, "orient", str(path), "--method", "gadget")
+        assert code == 0
+        indeg = [0] * n
+        outdeg = [0] * n
+        for line in out.splitlines():
+            edge, head = line.split(" -> ")
+            u, v = map(int, edge.split())
+            indeg[int(head)] += 1
+            outdeg[u + v - int(head)] += 1
+        assert indeg == outdeg == [1] * n
 
     def test_odd_degree_rejected(self, capsys, star3_file):
         code, _, err = run_cli(capsys, "orient", star3_file)

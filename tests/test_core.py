@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from tuttelab import (
     remove_vertices,
     remove_window_vertices,
 )
+from tuttelab.verifier import finite_cuts
 
 
 @st.composite
@@ -186,6 +188,27 @@ class TestClassifyComponents:
         _, infinite = classify_components(w, x)
         assert infinite == []
 
+    @given(graphs(max_n=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_finite_cuts_agree_with_adjacency_search(self, g, data):
+        # The bitmask enumeration kernel against the adjacency-list search,
+        # on windows with random interior and stub marks.
+        n = g.vertex_count
+        interior = data.draw(st.frozensets(st.integers(0, n - 1)))
+        stubs = tuple(
+            0 if v in interior else data.draw(st.integers(0, 2)) for v in range(n)
+        )
+        w = Window(g, interior, stubs)
+        max_x = data.draw(st.integers(0, n))
+        candidates = 0
+        for xs, xmask, finite in finite_cuts(g, w.frontier_mask, max_x):
+            candidates += 1
+            assert xmask == sum(1 << v for v in xs)
+            expected, _ = classify_components(w, xs)
+            got = [[v for v in range(n) if comp >> v & 1] for comp in finite]
+            assert got == expected
+        assert candidates == sum(math.comb(n, i) for i in range(max_x + 1))
+
 
 class TestWindowValidation:
     def test_interior_vertex_with_stubs_rejected(self):
@@ -204,6 +227,13 @@ class TestWindowValidation:
         assert sub.window.graph.vertex_count == 4
         assert sub.window.interior == frozenset()
         assert all(s == 3 for s in sub.window.external_stubs)
+        assert sub.graph is sub.window.graph
+        assert sub.original_ids == (1, 2, 3, 4)
+
+    def test_remove_vertices_gives_closed_window(self):
+        sub = remove_vertices(fixture("cycle(5)"), {2})
+        assert sub.window.is_closed
+        assert sub.graph is sub.window.graph
 
 
 class TestFileFormat:

@@ -1,0 +1,107 @@
+"""Golden CLI output: exit code and sha256 of stdout, pinned per invocation.
+
+The criterion-8 invocations plus cases whose output exercises rarely
+printed lines: ``tutte`` and ``quantitative`` violations, the lemma's
+``kind=boundary`` lines with their running ``count``, and the all-subsets
+expansion estimate.  Any change to verdicts, witnesses, counts or
+formatting shows up here as a changed digest.
+"""
+
+import hashlib
+
+import pytest
+
+from tuttelab import Graph, GroupSpec, cayley_ball, fixture, format_graph, format_window
+from tuttelab.cli import main as cli_main
+
+INPUTS = {
+    "ball2": lambda: format_window(cayley_ball(GroupSpec.free(2), 2)),
+    "cycle12": lambda: format_graph(fixture("cycle(12)")),
+    "regular": lambda: format_graph(fixture("random_regular(12,4,9)")),
+    "star5": lambda: format_graph(fixture("star(5)")),
+    "complete4": lambda: format_graph(fixture("complete(4)")),
+    "triangles": lambda: format_graph(
+        Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    ),
+}
+
+# (argv with input names in braces, exit code, sha256 of stdout)
+CASES = [
+    (["generate", "--fixture", "petersen"],
+     0, "223b9bae4baa173304a95712770f74b4b0243e4f7f06382593b0da4967659e67"),
+    (["generate", "--fixture", "random_regular(14,3,2)"],
+     0, "c5da056407635d4396f1e3a96eb6d078fb40c14ab807122f430cbfe134fbd203"),
+    (["generate", "--free-rank", "2", "--radius", "3"],
+     0, "dd39ca429fee55876a72e705e531ff49faa1ed69b26227b07d7541ce59bc79bd"),
+    (["generate", "--cyclic-orders", "2,2,2", "--radius", "3"],
+     0, "6e37e13f47c4a72974b7a57754cbbeb7ff96a73acffa64835a51234b136c6518"),
+    (["generate", "--grid-dim", "2", "--radius", "3"],
+     0, "e2300f149921e3eb39516a264ee634b37f01a318fa5adbdfb7400a0eea4076f1"),
+    (["generate", "--grandparent-depth", "3"],
+     0, "8ec48cc033fced7e9e399e89fcbe7cac02b062474cc9b9a2512480fa1d99b382"),
+    (["generate", "--points", "6", "--perm", "0 1 2 3 4 5"],
+     0, "bfb5b0e7bc7ef780bd592500a43f482fa2055a92eb84ef0c44b8ef0ff96ac49a"),
+    (["match", "{cycle12}"],
+     0, "c6680c4d2d8a9835b911560c0e5d6cd3715698429411d776add902df9f09233e"),
+    (["match", "{regular}"],
+     0, "559b06d877d155ae1f5d390a3708acf59d595b939b56691f2e40345ad67e7256"),
+    (["match", "{ball2}"],
+     0, "29f24cc83b730b40316a72b0d6765191baa7ced89e0894ae01ff887664ed975c"),
+    (["verify-tutte", "{star5}", "--epsilon", "0", "--k", "1", "--max-x", "4"],
+     1, "ec15c6a586a39c651442c015d813269462006b775619b27f4dcc3a4da9999207"),
+    (["verify-tutte", "{ball2}", "--epsilon", "1/2", "--k", "1", "--max-x", "3"],
+     0, "186278b33c7e7c7d52da097a656c6a28b669e167d2d074bdc5565d25b5da66d8"),
+    (["expansion", "{cycle12}", "--max-f", "4"],
+     0, "8406f95eaf52754bf8c52f17b613be9745364a75549a882d54f84203f8dc4ae5"),
+    (["expansion", "{ball2}", "--max-f", "5"],
+     0, "a1d6a4d2a1fe144c0c68f101f1f0fd2f5b3989958d110f06254c98baa7715e81"),
+    (["expansion", "{ball2}", "--lemma", "--degree", "4", "--delta", "2", "--max-x", "3"],
+     0, "e77a27222c2712c9ef0161f399ad41f981042654197dcebbf874812f3f3d608d"),
+    (["layered", "{cycle12}", "--epsilon", "1/8", "--levels", "2", "--cert-max-x", "4"],
+     0, "fa58c58935db79c4b3f42612e9f35b1d3debb3d699af2ad944c8102c037fd3bb"),
+    (["layered", "{ball2}", "--epsilon", "1/8", "--levels", "1", "--cert-max-x", "2"],
+     1, "d719709e833b9b803db0140b25dbfadfb1ca13967877152131404569d8595a2e"),
+    (["orient", "{cycle12}", "--method", "euler"],
+     0, "f8e053cfa9fd538fc94676d44a50da3051daee471fac9781db1ff57a9b6f7f73"),
+    (["orient", "{regular}", "--method", "gadget"],
+     0, "82fab1d0d77d2b1d6822adc4d4b158449e36ef80db8a8cafae8f91cb27ea6523"),
+    (["gadget-audit", "{ball2}", "--epsilon", "1/5", "--max-f", "3"],
+     0, "acdc57f529f71488bfbce7b77608e15c2643179e6d4d7a5d9e9431e9fa297f35"),
+    (["gadget-audit", "{cycle12}", "--epsilon", "1/10", "--max-f", "3"],
+     0, "73d46c9de455dc1d8087704c1fd7a4f606c9590fbbe8731ebe2f0ce744dba071"),
+    (["verify-tutte", "{star5}", "--epsilon", "1/3", "--k", "2", "--max-x", "2"],
+     1, "7c03e6268329095b077f2883844bf7e7368facf748c782e734c0e877b4829264"),
+    (["verify-tutte", "{complete4}", "--epsilon", "1/2", "--k", "1", "--max-x", "3"],
+     1, "9aac8ccf1ebd6d98354c66d6e8e6e23e75f6bfcd1f9d7d5754c391151b0f4f42"),
+    (["verify-tutte", "{ball2}", "--epsilon", "2", "--k", "2", "--max-x", "2"],
+     1, "f542654524dda23d3641b476de21a2bdfeabdeb22ac2445bdc4d3ce4b103865d"),
+    (["expansion", "{ball2}", "--lemma", "--degree", "4", "--delta", "4", "--max-x", "4"],
+     1, "89882d5c62436723fbda761f1775763f0b6ff68d7b954cdd5fc4b8dc3ddbf24f"),
+    (["expansion", "{triangles}", "--lemma", "--degree", "2", "--delta", "1", "--max-x", "1"],
+     1, "33b9464b91239b1827ef9e6bbd14cf6f86cf554f0d0bb5ce8ce614e38734b125"),
+    (["expansion", "{cycle12}", "--max-f", "4", "--all-sets"],
+     0, "b5f75fe7f88826adbdf4e6e8df638de43adaa27d39c0bd62237be198f669021e"),
+    (["expansion", "{ball2}", "--max-f", "3", "--all-sets"],
+     0, "467dd7b00eafa71889dfd8ff4bc1f9f7c9f998d68e5a96763526703c55eca594"),
+]
+
+
+@pytest.fixture(scope="module")
+def input_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, make in INPUTS.items():
+        path = root / f"{name}.txt"
+        path.write_text(make())
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", CASES, ids=[" ".join(c[0]) for c in CASES]
+)
+def test_golden_output(input_paths, capsys, argv, code, digest):
+    got_code = cli_main([a.format(**input_paths) for a in argv])
+    out = capsys.readouterr().out
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
