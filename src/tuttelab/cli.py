@@ -78,6 +78,14 @@ def _format_ids(ids) -> str:
     return ",".join(str(v) for v in sorted(ids)) if ids else "-"
 
 
+def _violation_line(v: verifier.Violation) -> str:
+    return (
+        f"  X={{{_format_ids(v.x)}}}: kind={v.kind} count={v.count} "
+        f"hull={v.hull_size} slack={v.slack}"
+        + (f" component={{{_format_ids(v.component)}}}" if v.component else "")
+    )
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     chosen = [
         args.fixture is not None,
@@ -146,11 +154,7 @@ def _cmd_verify_tutte(args: argparse.Namespace) -> int:
         f"Tutte check on {w.graph.vertex_count} vertices "
         f"(epsilon={report.epsilon}, k={report.k}, max_x={report.max_x})"
     ]
-    for v in report.violations:
-        out.append(
-            f"  X={{{_format_ids(v.x)}}}: kind={v.kind} count={v.count} "
-            f"hull={v.hull_size} slack={v.slack}"
-        )
+    out.extend(_violation_line(v) for v in report.violations)
     out.append(
         f"verdict={'pass' if report.passed else 'fail'} "
         f"epsilon={report.epsilon} k={report.k} max_x={report.max_x} "
@@ -170,12 +174,7 @@ def _cmd_expansion(args: argparse.Namespace) -> int:
             f"Expansion-lemma check (d={args.degree}, delta={args.delta}, "
             f"epsilon={report.epsilon}, max_x={report.max_x})"
         ]
-        for v in report.violations:
-            out.append(
-                f"  X={{{_format_ids(v.x)}}}: kind={v.kind} count={v.count} "
-                f"hull={v.hull_size} slack={v.slack}"
-                + (f" component={{{_format_ids(v.component)}}}" if v.component else "")
-            )
+        out.extend(_violation_line(v) for v in report.violations)
         out.append(
             f"verdict={'pass' if report.passed else 'fail'} "
             f"candidates={report.candidates} violations={len(report.violations)}"
@@ -242,9 +241,7 @@ def _cmd_orient(args: argparse.Namespace) -> int:
 def _cmd_gadget_audit(args: argparse.Namespace) -> int:
     w = _read_window(args.input)
     gadget = orientation.build_gadget(w.graph, w.external_stubs)
-    report = orientation.check_gadget_hall_expansion(
-        gadget, w.external_stubs, args.epsilon, args.max_f
-    )
+    report = orientation.check_gadget_hall_expansion(gadget, args.epsilon, args.max_f)
     out = [f"Gadget Hall audit (epsilon={report.epsilon}, max_f={report.max_f})"]
     for side in (report.edge_side, report.vertex_side):
         out.append(

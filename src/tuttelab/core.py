@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class InputError(ValueError):
@@ -351,6 +352,27 @@ def iter_subsets(pool: Sequence[int], max_size: int) -> Iterator[tuple[int, ...]
     """Subsets of pool by ascending size, lexicographic within each size."""
     for size in range(min(max_size, len(pool)) + 1):
         yield from itertools.combinations(pool, size)
+
+
+def _min_ratios(
+    sets: Iterable[tuple[int, ...]], ratios: Callable, count: int
+) -> tuple[int, list[tuple[Fraction | None, tuple[int, ...]]]]:
+    """Number of sets, and per ratio position the least value with its witness.
+
+    ``ratios(F)`` gives ``count`` integer pairs (p, q), q > 0, read as p/q.
+    A position keeps the first F strictly below its best so far (compared
+    by cross-multiplication, no Fraction per set), so its witness is the
+    first minimiser in the order of ``sets``; (None, ()) when there is none.
+    """
+    best = [(1, 0, ())] * count  # 1/0 stands for +infinity
+    checked = 0
+    for fs in sets:
+        checked += 1
+        for i, (p, q) in enumerate(ratios(fs)):
+            bp, bq, _ = best[i]
+            if p * bq < bp * q:
+                best[i] = (p, q, fs)
+    return checked, [(Fraction(p, q) if q else None, fs) for p, q, fs in best]
 
 
 # ---------------------------------------------------------------------------

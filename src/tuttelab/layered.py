@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Edge, Graph, InputError, Window, distance, remove_window_vertices
-from .matching import MatchingState, has_perfect_matching, is_allowed_edge, max_matching
+from .core import Edge, Graph, InputError, Window, distance
+from .core import remove_vertices, remove_window_vertices
+from .matching import MatchingState, has_perfect_matching, max_matching
 from .verifier import TutteReport, check_tutte_eps_k, hull_report
 
 
@@ -151,19 +152,21 @@ def build_nets(w: Window, schedule: Schedule) -> NetLevels:
 def least_extendable_edge(g: Graph, x: int) -> Edge:
     """Least edge at x contained in some perfect matching of g.
 
-    Requires g to admit a perfect matching; then x is covered by every
-    perfect matching, so an incident allowed edge always exists.
+    Requires g to admit a perfect matching M.  The edge from x to its
+    partner in M is allowed, so only the smaller neighbors u need a test:
+    x-u is allowed exactly when g - x - u is perfectly matchable.
     """
     if not 0 <= x < g.vertex_count:
         raise InputError(f"vertex {x} out of range")
     if not g.adjacency[x]:
         raise InputError(f"vertex {x} is isolated")
-    if not has_perfect_matching(g):
+    m = max_matching(g)
+    if 2 * m.size != g.vertex_count:
         raise InputError("graph has no perfect matching")
-    for e in g.incident_edges(x):
-        if is_allowed_edge(g, e):
-            return e
-    raise AssertionError("perfectly matchable graph must allow an edge at x")
+    partner = next(e.v if e.u == x else e.u for e in m.edges if x in e)
+    for u in g.adjacency[x]:
+        if u == partner or has_perfect_matching(remove_vertices(g, {x, u}).graph):
+            return Edge.of(x, u)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Sequence
 
-from .core import Edge, Graph, InputError, iter_subsets
+from .core import Edge, Graph, InputError, _min_ratios, iter_subsets, vertices_of
 from .matching import MatchingState, bipartite_max_matching
 
 
@@ -299,18 +300,16 @@ class GadgetHallReport:
 
 
 def check_gadget_hall_expansion(
-    gadget: GadgetGraph,
-    stubs: Sequence[int] | None,
-    epsilon: Fraction | int,
-    max_f: int,
+    gadget: GadgetGraph, epsilon: Fraction | int, max_f: int
 ) -> GadgetHallReport:
     """Audit |N(F)| >= (1+epsilon)|F| for F on one gadget side at a time.
 
     Neighborhoods are counted literally in the gadget, whatever shape F
     has.  Vertices at the truncation frontier additionally earn a
-    half-neighbor credit per stub for vertex-type F (a stub edge's node
+    half-neighbor credit per stub (from ``gadget.stubs``) for
+    vertex-type F, once per owner of F's copy nodes (a stub edge's node
     lies outside the truncation; crediting half of it mirrors the way
-    boundary edges enter the neighborhood count).  Edge-type F needs no
+    boundary edges enter the neighborhood count).  Edge-type F earns no
     credit: stub halves already entered the copy counts when the gadget
     was built.  Minima are reported both with and without the credit.
     """
@@ -319,49 +318,29 @@ def check_gadget_hall_expansion(
         raise InputError("epsilon must be nonnegative")
     if max_f < 1:
         raise InputError("max_f must be positive")
-    if stubs is None:
-        stubs = gadget.stubs
-    stubs = tuple(stubs)
-    if len(stubs) != gadget.host.vertex_count:
-        raise InputError("stubs must list one count per host vertex")
     masks = gadget.graph.neighbor_masks
+    stubs = gadget.stubs
+    # Per gadget node, the bit of the host vertex whose stubs it credits:
+    # a copy node's owner when that owner has stubs, nothing otherwise.
+    credit_bits = (0,) * gadget.edge_node_count + tuple(
+        1 << v if stubs[v] else 0 for v in gadget.copy_owner
+    )
 
-    def audit(side_name: str, nodes: Sequence[int]) -> HallSide:
-        best_raw: Fraction | None = None
-        best_raw_f: tuple[int, ...] = ()
-        best_cred: Fraction | None = None
-        best_cred_f: tuple[int, ...] = ()
-        checked = 0
-        for fs in iter_subsets(nodes, max_f):
-            if not fs:
-                continue
-            checked += 1
-            nmask = 0
-            for node in fs:
-                nmask |= masks[node]
-            count = nmask.bit_count()
-            raw = Fraction(count, len(fs))
-            if side_name == "vertex":
-                owners = {gadget.owner_of(node) for node in fs}
-                credit = Fraction(sum(stubs[v] for v in owners), 2)
-            else:
-                credit = Fraction(0)
-            cred = (count + credit) / len(fs) if credit else raw
-            if best_raw is None or raw < best_raw:
-                best_raw = raw
-                best_raw_f = fs
-            if best_cred is None or cred < best_cred:
-                best_cred = cred
-                best_cred_f = fs
-        return HallSide(
-            side=side_name,
-            checked=checked,
-            min_ratio=best_raw,
-            witness=best_raw_f,
-            min_ratio_credited=best_cred,
-            witness_credited=best_cred_f,
+    def ratios(fs: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, int]]:
+        nmask = owners = 0
+        for node in fs:
+            nmask |= masks[node]
+            owners |= credit_bits[node]
+        count = nmask.bit_count()
+        credit = sum(stubs[v] for v in vertices_of(owners))
+        return (count, len(fs)), (2 * count + credit, 2 * len(fs))
+
+    def audit(side: str, nodes: range) -> HallSide:
+        checked, [(raw, witness), (credited, witness_credited)] = _min_ratios(
+            islice(iter_subsets(nodes, max_f), 1, None), ratios, 2
         )
+        return HallSide(side, checked, raw, witness, credited, witness_credited)
 
-    edge_side = audit("edge", list(gadget.edge_nodes))
-    vertex_side = audit("vertex", list(gadget.copy_nodes))
+    edge_side = audit("edge", gadget.edge_nodes)
+    vertex_side = audit("vertex", gadget.copy_nodes)
     return GadgetHallReport(epsilon, max_f, edge_side, vertex_side)

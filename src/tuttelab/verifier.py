@@ -21,18 +21,22 @@ as infinite.
 
 Every X-enumeration (the Tutte check, the expansion lemma, the matching
 module's Tutte-Berge oracle) runs through one kernel, :func:`finite_cuts`.
+The expansion estimate, like the gadget Hall audit, finds its minimum
+ratio and witness with the minimum-ratio kernel of :mod:`tuttelab.core`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Graph,
     InputError,
     Window,
+    _min_ratios,
     iter_subsets,
     mask_components,
     mask_is_connected,
@@ -226,8 +230,9 @@ def expansion_constant(
     a disconnected F is the sum over its connected pieces, so its ratio
     is at least the smallest piece's ratio (mediant inequality), and the
     pieces are themselves enumerated.  The flag is surfaced anyway as a
-    speed/completeness tradeoff, and ``exhaustive`` records whether all
-    subsets were visited.
+    speed/completeness tradeoff; ``exhaustive`` records
+    ``connected_only=False`` only, not that max_f reached the vertex
+    count.  The witness is the first minimiser in (size, lex) order.
     """
     if max_f < 1:
         raise InputError("max_f must be positive")
@@ -236,29 +241,16 @@ def expansion_constant(
         raise InputError("window has no vertices")
     masks = w.graph.neighbor_masks
     stubs = w.external_stubs
-    best: Fraction | None = None
-    best_f: tuple[int, ...] = ()
-    best_boundary = 0
-    checked = 0
-    for fs in iter_subsets(range(n), min(max_f, n)):
-        if not fs:
-            continue
-        fmask = mask_of(fs)
-        if connected_only and not mask_is_connected(masks, fmask):
-            continue
-        checked += 1
-        boundary = _mask_boundary(masks, stubs, fmask)
-        ratio = Fraction(boundary, len(fs))
-        if best is None or ratio < best:
-            best = ratio
-            best_f = fs
-            best_boundary = boundary
-    if best is None:
-        raise InputError("no candidate subsets enumerated")
+    sets = islice(iter_subsets(range(n), max_f), 1, None)
+    if connected_only:
+        sets = (fs for fs in sets if mask_is_connected(masks, mask_of(fs)))
+    checked, [(delta, witness)] = _min_ratios(
+        sets, lambda fs: ((_mask_boundary(masks, stubs, mask_of(fs)), len(fs)),), 1
+    )
     return ExpansionReport(
-        delta_lower=best,
-        delta_witness=best_f,
-        witness_boundary=best_boundary,
+        delta_lower=delta,
+        delta_witness=witness,
+        witness_boundary=int(delta * len(witness)),
         max_f=max_f,
         exhaustive=not connected_only,
         checked=checked,

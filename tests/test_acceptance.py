@@ -216,7 +216,7 @@ def test_criterion_6_orientation_equivalence():
 def test_criterion_7_hall_audit_thresholds():
     w = cayley_ball(GroupSpec.free(2), 2)
     gadget = build_gadget(w.graph, w.external_stubs)
-    report = check_gadget_hall_expansion(gadget, w.external_stubs, Fraction(1, 5), 4)
+    report = check_gadget_hall_expansion(gadget, Fraction(1, 5), 4)
     threshold = 1 + Fraction(1, 5)
     assert report.edge_side.min_ratio_credited >= threshold
     assert report.vertex_side.min_ratio_credited >= threshold
@@ -226,12 +226,12 @@ def test_criterion_7_hall_audit_thresholds():
     assert report.vertex_side.min_ratio_credited == Fraction(5, 4)
 
     control = build_gadget(fixture("cycle(4)"))
-    neutral = check_gadget_hall_expansion(control, None, 0, 4)
+    neutral = check_gadget_hall_expansion(control, 0, 4)
     # Minimum ratio exactly 1 on the edge side means the audit fails for
     # every positive epsilon.
     assert neutral.edge_side.min_ratio == 1
     for eps in (Fraction(1, 100), Fraction(1, 10), Fraction(1, 2), Fraction(1)):
-        assert not check_gadget_hall_expansion(control, None, eps, 4).passed
+        assert not check_gadget_hall_expansion(control, eps, 4).passed
     print(
         "\nACCEPTANCE 7 PASS: stub-credited Hall minima on the free(2) "
         "radius-2 ball gadget are >= 6/5 on both sides (vertex side exactly "

@@ -2,8 +2,9 @@
 
 The criterion-8 invocations plus cases whose output exercises rarely
 printed lines: ``tutte`` and ``quantitative`` violations, the lemma's
-``kind=boundary`` lines with their running ``count``, and the all-subsets
-expansion estimate.  Any change to verdicts, witnesses, counts or
+``kind=boundary`` lines with their running ``count``, the all-subsets
+expansion estimate, and the gadget audit with no subsets to check and with
+the vertex side's stub credit.  Any change to verdicts, witnesses, counts or
 formatting shows up here as a changed digest.
 """
 
@@ -11,7 +12,15 @@ import hashlib
 
 import pytest
 
-from tuttelab import Graph, GroupSpec, cayley_ball, fixture, format_graph, format_window
+from tuttelab import (
+    Graph,
+    GroupSpec,
+    cayley_ball,
+    fixture,
+    format_graph,
+    format_window,
+    grandparent_window,
+)
 from tuttelab.cli import main as cli_main
 
 INPUTS = {
@@ -23,6 +32,8 @@ INPUTS = {
     "triangles": lambda: format_graph(
         Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     ),
+    "empty3": lambda: format_graph(Graph.empty(3)),
+    "grandparent3": lambda: format_window(grandparent_window(3)),
 }
 
 # (argv with input names in braces, exit code, sha256 of stdout)
@@ -83,6 +94,12 @@ CASES = [
      0, "b5f75fe7f88826adbdf4e6e8df638de43adaa27d39c0bd62237be198f669021e"),
     (["expansion", "{ball2}", "--max-f", "3", "--all-sets"],
      0, "467dd7b00eafa71889dfd8ff4bc1f9f7c9f998d68e5a96763526703c55eca594"),
+    (["gadget-audit", "{empty3}", "--epsilon", "1/5", "--max-f", "2"],
+     0, "4c428ed2d79ac0f22e58a2d2ab8410c84523454f7d0b79c59d9146a5f73a9610"),
+    (["gadget-audit", "{grandparent3}", "--epsilon", "1/5", "--max-f", "2"],
+     0, "90809dbc12af8a475570f435c2cd5c757a3d028e7f3230a50c5952d431795813"),
+    (["expansion", "{grandparent3}", "--max-f", "3", "--all-sets"],
+     0, "ba9faeeddc3342236ddd0bf00da0b651c40beac22ee61baf5d17ac1bd39f7267"),
 ]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import pendant_completion, random_tree
+from helpers import brute_matching_size, pendant_completion, random_graph, random_tree
 from tuttelab import (
     Edge,
     Graph,
@@ -20,6 +20,7 @@ from tuttelab import (
     has_perfect_matching,
     least_extendable_edge,
     net_separation_ok,
+    remove_vertices,
     run_layered_matching,
 )
 
@@ -148,6 +149,19 @@ class TestLeastExtendableEdge:
         g = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(InputError):
             least_extendable_edge(g, 2)
+
+    def test_matches_brute_force_on_pendant_completions(self):
+        rng = random.Random(53)
+        for _ in range(25):
+            g = pendant_completion(random_graph(rng, rng.randint(1, 9), 0.35))
+            n = g.vertex_count
+            for x in range(n):
+                u = next(
+                    u for u in g.adjacency[x]
+                    if brute_matching_size(remove_vertices(g, {x, u}).graph)
+                    == (n - 2) // 2
+                )
+                assert least_extendable_edge(g, x) == Edge.of(x, u)
 
 
 class TestRunLayeredMatching:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -203,16 +204,16 @@ class TestHallAudit:
     def test_cycle4_fails_for_positive_epsilon(self):
         gad = build_gadget(fixture("cycle(4)"))
         for eps in (Fraction(1, 10), Fraction(1, 100), Fraction(1)):
-            rep = check_gadget_hall_expansion(gad, None, eps, 4)
+            rep = check_gadget_hall_expansion(gad, eps, 4)
             assert not rep.passed
-        rep = check_gadget_hall_expansion(gad, None, 0, 4)
+        rep = check_gadget_hall_expansion(gad, 0, 4)
         assert rep.passed
         assert rep.edge_side.min_ratio == 1
 
     def test_free_ball_passes_credited(self):
         w = cayley_ball(GroupSpec.free(2), 2)
         gad = build_gadget(w.graph, w.external_stubs)
-        rep = check_gadget_hall_expansion(gad, w.external_stubs, Fraction(1, 5), 4)
+        rep = check_gadget_hall_expansion(gad, Fraction(1, 5), 4)
         assert rep.passed
         assert not rep.passed_raw
         assert rep.edge_side.min_ratio_credited == Fraction(5, 2)
@@ -223,7 +224,7 @@ class TestHallAudit:
 
     def test_single_edge_node_ratio_at_least_two(self):
         gad = build_gadget(fixture("complete(5)"))
-        rep = check_gadget_hall_expansion(gad, None, 0, 1)
+        rep = check_gadget_hall_expansion(gad, 0, 1)
         assert rep.edge_side.min_ratio >= 2
 
     def test_vertex_type_count_identity_on_window(self):
@@ -251,10 +252,44 @@ class TestHallAudit:
             )
             assert credited == len(nodes) + Fraction(real_boundary, 2)
 
+    def test_matches_brute_force_minima_with_stubs(self):
+        rng = random.Random(47)
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            g = Graph.from_edges(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
+            ])
+            stubs = [g.degree(v) % 2 + 2 * rng.randint(0, 1) for v in range(n)]
+            gad = build_gadget(g, stubs)
+            max_f = rng.randint(1, 3)
+            rep = check_gadget_hall_expansion(gad, 0, max_f)
+            for side, nodes in ((rep.edge_side, gad.edge_nodes),
+                                (rep.vertex_side, gad.copy_nodes)):
+                scored = []
+                for size in range(1, max_f + 1):
+                    for fs in itertools.combinations(nodes, size):
+                        hood = {u for node in fs for u in gad.graph.adjacency[node]}
+                        owners = {gad.owner_of(node) for node in fs
+                                  if node >= gad.edge_node_count}
+                        raw = Fraction(len(hood), size)
+                        credit = Fraction(sum(stubs[v] for v in owners), 2 * size)
+                        scored.append((raw, raw + credit, fs))
+                assert side.checked == len(scored)
+                if not scored:
+                    assert (side.min_ratio, side.witness) == (None, ())
+                    assert (side.min_ratio_credited, side.witness_credited) == (None, ())
+                    continue
+                for pos, got, witness in ((0, side.min_ratio, side.witness),
+                                          (1, side.min_ratio_credited,
+                                           side.witness_credited)):
+                    best = min(entry[pos] for entry in scored)
+                    assert got == best
+                    assert witness == next(e[2] for e in scored if e[pos] == best)
+
     def test_negative_epsilon_rejected(self):
         gad = build_gadget(fixture("cycle(4)"))
         with pytest.raises(InputError):
-            check_gadget_hall_expansion(gad, None, Fraction(-1, 2), 2)
+            check_gadget_hall_expansion(gad, Fraction(-1, 2), 2)
 
 
 class TestBothRoutesAgree:

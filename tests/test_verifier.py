@@ -176,6 +176,42 @@ class TestExpansionConstant:
         assert rep.delta_lower <= 4
         assert epsilon_from_delta(rep.delta_lower, 4) <= 1
 
+    def test_matches_brute_force_minimum_on_windows_with_stubs(self):
+        def connected(g, fs):
+            seen, stack = {fs[0]}, [fs[0]]
+            while stack:
+                for u in g.adjacency[stack.pop()]:
+                    if u in fs and u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            return len(seen) == len(fs)
+
+        rng = random.Random(31)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 7), 0.45)
+            n = g.vertex_count
+            frontier = {v for v in range(n) if rng.random() < 0.5}
+            stubs = tuple(rng.randint(0, 3) if v in frontier else 0 for v in range(n))
+            w = Window(g, frozenset(range(n)) - frontier, stubs)
+            max_f = rng.randint(1, n)
+            for connected_only in (True, False):
+                scored = [
+                    (Fraction(sum(
+                        stubs[v] + sum(1 for u in g.adjacency[v] if u not in fs)
+                        for v in fs
+                    ), size), fs)
+                    for size in range(1, max_f + 1)
+                    for fs in itertools.combinations(range(n), size)
+                    if not connected_only or connected(g, fs)
+                ]
+                best = min(ratio for ratio, _ in scored)
+                first = next(fs for ratio, fs in scored if ratio == best)
+                rep = expansion_constant(w, max_f, connected_only=connected_only)
+                assert rep.delta_lower == best
+                assert rep.delta_witness == first
+                assert rep.witness_boundary == best * len(first)
+                assert rep.checked == len(scored)
+
 
 class TestEpsilonFromDelta:
     def test_four_regular_tree_value(self):
