@@ -360,17 +360,18 @@ def _min_ratios(
     """Number of sets, and per ratio position the least value with its witness.
 
     ``ratios(F)`` gives ``count`` integer pairs (p, q), q > 0, read as p/q.
-    A position keeps the first F strictly below its best so far (compared
-    by cross-multiplication, no Fraction per set), so its witness is the
-    first minimiser in the order of ``sets``; (None, ()) when there is none.
+    Values are compared by cross-multiplication, no Fraction per set, and
+    ties go to the F least by (size, lex), so the witness is the same
+    whatever order ``sets`` comes in; (None, ()) when there is no set.
     """
     best = [(1, 0, ())] * count  # 1/0 stands for +infinity
     checked = 0
     for fs in sets:
         checked += 1
         for i, (p, q) in enumerate(ratios(fs)):
-            bp, bq, _ = best[i]
-            if p * bq < bp * q:
+            bp, bq, bfs = best[i]
+            lhs, rhs = p * bq, bp * q
+            if lhs < rhs or lhs == rhs and (len(fs), fs) < (len(bfs), bfs):
                 best[i] = (p, q, fs)
     return checked, [(Fraction(p, q) if q else None, fs) for p, q, fs in best]
 

@@ -21,8 +21,11 @@ as infinite.
 
 Every X-enumeration (the Tutte check, the expansion lemma, the matching
 module's Tutte-Berge oracle) runs through one kernel, :func:`finite_cuts`.
-The expansion estimate, like the gadget Hall audit, finds its minimum
-ratio and witness with the minimum-ratio kernel of :mod:`tuttelab.core`.
+On a window with a frontier it searches only from N(X) and from the finite
+components of G, and each search stops once it reaches the frontier.  The
+expansion estimate grows its connected sets by reverse search and, like the
+gadget Hall audit, finds its minimum ratio and witness with the
+minimum-ratio kernel of :mod:`tuttelab.core`.
 """
 
 from __future__ import annotations
@@ -100,13 +103,34 @@ class ExpansionReport:
 
 
 def _finite_components(
-    masks: Sequence[int], avail: int, frontier_mask: int
+    masks: Sequence[int], avail: int, seeds: int, frontier_mask: int
 ) -> list[int]:
-    """Components of the subgraph induced on avail that miss the frontier."""
-    comps = mask_components(masks, avail)
-    if not frontier_mask:
-        return comps
-    return [comp for comp in comps if not comp & frontier_mask]
+    """Finite components of the subgraph induced on avail that hold a seed.
+
+    Each search starts at the least seed left and stops at the first
+    breadth-first layer that touches frontier_mask; no vertex it reached
+    starts another search.  The components come sorted by least vertex,
+    the order of :func:`mask_components`.
+    """
+    comps = []
+    seeds &= avail
+    while seeds:
+        layer = seeds & -seeds
+        comp = 0
+        while layer and not layer & frontier_mask:
+            comp |= layer
+            nxt = 0
+            rest = layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nxt |= masks[low.bit_length() - 1]
+            layer = nxt & avail & ~comp
+        if not layer:
+            comps.append(comp)
+        seeds &= ~(comp | layer)
+    comps.sort(key=lambda comp: comp & -comp)
+    return comps
 
 
 def finite_cuts(
@@ -115,14 +139,34 @@ def finite_cuts(
     """Yield (X, mask of X, finite component masks of g - X) for |X| <= max_x.
 
     X runs over the vertex subsets in (size, lexicographic) order,
-    starting with the empty set.  A component is finite when it contains
-    no vertex of frontier_mask; with frontier_mask 0 every component is.
+    starting with the empty set; the components of each X are listed by
+    least vertex.  A component is finite when it contains no vertex of
+    frontier_mask; with frontier_mask 0 every component is, and each X
+    costs one :func:`mask_components` search.  With a frontier, a finite
+    component of g - X either touches N(X) or is a finite component of g
+    that X misses, so only those seeds are searched: N(X) minus X and the
+    least vertex of every finite component of g.
     """
     masks = g.neighbor_masks
     full = g.full_mask
-    for xs in iter_subsets(range(g.vertex_count), max_x):
-        xmask = mask_of(xs)
-        yield xs, xmask, _finite_components(masks, full & ~xmask, frontier_mask)
+    subsets = iter_subsets(range(g.vertex_count), max_x)
+    if not frontier_mask:
+        for xs in subsets:
+            xmask = mask_of(xs)
+            yield xs, xmask, mask_components(masks, full & ~xmask)
+        return
+    least = 0
+    for comp in mask_components(masks, full):
+        if not comp & frontier_mask:
+            least |= comp & -comp
+    for xs in subsets:
+        xmask = 0
+        nbrs = least
+        for v in xs:
+            xmask |= 1 << v
+            nbrs |= masks[v]
+        avail = full & ~xmask
+        yield xs, xmask, _finite_components(masks, avail, nbrs, frontier_mask)
 
 
 def _mask_boundary(masks: Sequence[int], stubs: Sequence[int], f: int) -> int:
@@ -146,10 +190,13 @@ def hull_report(w: Window, x: Iterable[int]) -> HullReport:
             raise InputError(f"vertex {v} out of range")
     masks = w.graph.neighbor_masks
     avail = w.graph.full_mask & ~mask_of(xs)
-    finite = [
-        vertices_of(comp)
-        for comp in _finite_components(masks, avail, w.frontier_mask)
-    ]
+    frontier_mask = w.frontier_mask
+    comps = (
+        _finite_components(masks, avail, avail, frontier_mask)
+        if frontier_mask
+        else mask_components(masks, avail)
+    )
+    finite = [vertices_of(comp) for comp in comps]
     odd = [verts for verts in finite if len(verts) % 2 == 1]
     hull_odd = frozenset(xs) | {v for c in odd for v in c}
     hull_fin = frozenset(xs) | {v for c in finite for v in c}
@@ -220,19 +267,57 @@ def edge_boundary(w: Window, f: Iterable[int]) -> int:
     return _mask_boundary(w.graph.neighbor_masks, w.external_stubs, mask_of(fset))
 
 
+def _connected_sets(masks: Sequence[int], n: int, max_f: int) -> Iterator[int]:
+    """Each connected vertex set of size 1..max_f exactly once, as a mask.
+
+    Reverse search (Avis and Fukuda, 1996): the parent of a connected T
+    with |T| >= 2 is T minus its largest vertex u for which T - u is still
+    connected, and the sets are walked depth-first down that tree from the
+    singletons.  S + v, for v in N(S) minus S, is a child of S exactly when
+    no vertex of S above v can be removed from it without disconnecting it.
+    """
+    stack = [1 << v for v in range(n - 1, -1, -1)]
+    while stack:
+        s = stack.pop()
+        yield s
+        if s.bit_count() == max_f:
+            continue
+        grow = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            grow |= masks[low.bit_length() - 1]
+        grow &= ~s
+        while grow:
+            v = grow & -grow
+            grow ^= v
+            t = s | v
+            above = s & ~(v - 1)
+            while above:
+                u = above & -above
+                if mask_is_connected(masks, t ^ u):
+                    break
+                above ^= u
+            else:
+                stack.append(t)
+
+
 def expansion_constant(
     w: Window, max_f: int, connected_only: bool = True
 ) -> ExpansionReport:
     """Minimum boundary-to-size ratio over nonempty F with |F| <= max_f.
 
     With connected_only the enumeration is restricted to connected
-    induced subgraphs.  That restriction loses nothing: the boundary of
-    a disconnected F is the sum over its connected pieces, so its ratio
-    is at least the smallest piece's ratio (mediant inequality), and the
+    induced subgraphs, which are grown directly rather than filtered out
+    of all subsets.  That restriction loses nothing: the boundary of a
+    disconnected F is the sum over its connected pieces, so its ratio is
+    at least the smallest piece's ratio (mediant inequality), and the
     pieces are themselves enumerated.  The flag is surfaced anyway as a
     speed/completeness tradeoff; ``exhaustive`` records
     ``connected_only=False`` only, not that max_f reached the vertex
-    count.  The witness is the first minimiser in (size, lex) order.
+    count.  Either way the witness is the least minimiser in (size, lex)
+    order.
     """
     if max_f < 1:
         raise InputError("max_f must be positive")
@@ -241,9 +326,10 @@ def expansion_constant(
         raise InputError("window has no vertices")
     masks = w.graph.neighbor_masks
     stubs = w.external_stubs
-    sets = islice(iter_subsets(range(n), max_f), 1, None)
     if connected_only:
-        sets = (fs for fs in sets if mask_is_connected(masks, mask_of(fs)))
+        sets = map(vertices_of, _connected_sets(masks, n, max_f))
+    else:
+        sets = islice(iter_subsets(range(n), max_f), 1, None)
     checked, [(delta, witness)] = _min_ratios(
         sets, lambda fs: ((_mask_boundary(masks, stubs, mask_of(fs)), len(fs)),), 1
     )
@@ -292,6 +378,7 @@ def verify_expansion_lemma(
                 f"(degree {g.degree(v)} + {w.external_stubs[v]} stubs)"
             )
     eps = epsilon_from_delta(delta, d)
+    eps_p, eps_q = eps.numerator, eps.denominator
     masks = g.neighbor_masks
     stubs = w.external_stubs
     violations: list[Violation] = []
@@ -316,15 +403,14 @@ def verify_expansion_lemma(
                         )
                     )
             hull_size = hull.bit_count()
-            slack = len(xs) - len(finite) - eps * hull_size
-            if slack < 0:
+            if (len(xs) - len(finite)) * eps_q < eps_p * hull_size:
                 violations.append(
                     Violation(
                         kind="expansion",
                         x=xs,
                         count=len(finite),
                         hull_size=hull_size,
-                        slack=slack,
+                        slack=len(xs) - len(finite) - eps * hull_size,
                     )
                 )
     return TutteReport(eps, 1, max_x, candidates, tuple(violations))

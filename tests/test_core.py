@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,8 @@ from tuttelab import (
     remove_vertices,
     remove_window_vertices,
 )
-from tuttelab.verifier import finite_cuts
+from tuttelab.core import _min_ratios, mask_of
+from tuttelab.verifier import _mask_boundary, finite_cuts
 
 
 @st.composite
@@ -208,6 +210,27 @@ class TestClassifyComponents:
             got = [[v for v in range(n) if comp >> v & 1] for comp in finite]
             assert got == expected
         assert candidates == sum(math.comb(n, i) for i in range(max_x + 1))
+
+
+class TestMinRatios:
+    def test_witness_ignores_input_order(self):
+        # Boundary ratios on cycle(8) tie across every arc of a size, and
+        # the second ratio ties across the size classes.
+        masks = fixture("cycle(8)").neighbor_masks
+        sets = [
+            fs for size in range(1, 6) for fs in itertools.combinations(range(8), size)
+        ]
+
+        def ratios(fs):
+            return (_mask_boundary(masks, (0,) * 8, mask_of(fs)), len(fs)), (sum(fs) % 3, 1)
+
+        want = _min_ratios(sets, ratios, 2)
+        assert want[1][0][1] == (0, 1, 2, 3, 4)
+        assert want[1][1][1] == (0,)
+        rng = random.Random(4)
+        for _ in range(5):
+            rng.shuffle(sets)
+            assert _min_ratios(sets, ratios, 2) == want
 
 
 class TestWindowValidation:

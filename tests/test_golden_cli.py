@@ -3,8 +3,11 @@
 The criterion-8 invocations plus cases whose output exercises rarely
 printed lines: ``tutte`` and ``quantitative`` violations, the lemma's
 ``kind=boundary`` lines with their running ``count``, the all-subsets
-expansion estimate, and the gadget audit with no subsets to check and with
-the vertex side's stub credit.  Any change to verdicts, witnesses, counts or
+expansion estimate, the gadget audit with no subsets to check and with
+the vertex side's stub credit, lemma components listed by least vertex when
+a search from N(X) would meet them in another order, finite odd components
+cut off by |X| = 4 on the open ball, and the (size, lex) least of many tied
+expansion minimisers.  Any change to verdicts, witnesses, counts or
 formatting shows up here as a changed digest.
 """
 
@@ -15,6 +18,7 @@ import pytest
 from tuttelab import (
     Graph,
     GroupSpec,
+    Window,
     cayley_ball,
     fixture,
     format_graph,
@@ -34,6 +38,14 @@ INPUTS = {
     ),
     "empty3": lambda: format_graph(Graph.empty(3)),
     "grandparent3": lambda: format_window(grandparent_window(3)),
+    "cycle8": lambda: format_graph(fixture("cycle(8)")),
+    # 3-regular with one frontier vertex (9): a K4 minus the edge 5-6 hangs
+    # off 8, and a K4 on {2,3,4,7} is a finite component of the whole graph.
+    "twopieces": lambda: format_window(Window(
+        Graph.from_edges(10, [(0, 1), (0, 5), (0, 6), (1, 5), (1, 6), (5, 8),
+                              (6, 8), (8, 9), (2, 3), (2, 4), (2, 7), (3, 4),
+                              (3, 7), (4, 7)]),
+        frozenset(range(9)), (0,) * 9 + (2,))),
 }
 
 # (argv with input names in braces, exit code, sha256 of stdout)
@@ -100,6 +112,12 @@ CASES = [
      0, "90809dbc12af8a475570f435c2cd5c757a3d028e7f3230a50c5952d431795813"),
     (["expansion", "{grandparent3}", "--max-f", "3", "--all-sets"],
      0, "ba9faeeddc3342236ddd0bf00da0b651c40beac22ee61baf5d17ac1bd39f7267"),
+    (["expansion", "{twopieces}", "--lemma", "--degree", "3", "--delta", "1", "--max-x", "2"],
+     1, "7083457111f7cd23cb04dfc999cf8df099860606dc2d8858720c0753dd70a549"),
+    (["verify-tutte", "{ball2}", "--epsilon", "3/4", "--k", "1", "--max-x", "4"],
+     1, "06435e68335cd28b2c1f19ecc8b7cf75a9e4dfca6026771c7806e8ede291b83b"),
+    (["expansion", "{cycle8}", "--max-f", "4"],
+     0, "6f67417629761c176033bbeca6f762f3a97fca117108a8d1f775def9e5aa5b4f"),
 ]
 
 

@@ -13,6 +13,7 @@ from tuttelab import (
     Window,
     cayley_ball,
     check_tutte_eps_k,
+    classify_components,
     edge_boundary,
     epsilon_from_delta,
     expansion_constant,
@@ -22,6 +23,37 @@ from tuttelab import (
     tutte_berge_deficiency,
     verify_expansion_lemma,
 )
+from tuttelab.core import mask_of, vertices_of
+from tuttelab.verifier import _connected_sets, _finite_components, finite_cuts
+
+# 3-regular with one frontier vertex (9): a K4 minus the edge 5-6 hangs off
+# 8, and a K4 on {2,3,4,7} is a finite component of the whole graph.
+TWO_PIECES = Window(
+    Graph.from_edges(10, [(0, 1), (0, 5), (0, 6), (1, 5), (1, 6), (5, 8), (6, 8),
+                          (8, 9), (2, 3), (2, 4), (2, 7), (3, 4), (3, 7), (4, 7)]),
+    frozenset(range(9)),
+    (0,) * 9 + (2,),
+)
+
+
+def is_connected(g, fs):
+    seen, stack = {fs[0]}, [fs[0]]
+    while stack:
+        for u in g.adjacency[stack.pop()]:
+            if u in fs and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(fs)
+
+
+class CountingMasks(list):
+    """Neighbour masks that count how often a vertex is expanded."""
+
+    lookups = 0
+
+    def __getitem__(self, v):
+        self.lookups += 1
+        return super().__getitem__(v)
 
 
 @st.composite
@@ -62,6 +94,86 @@ class TestHullReport:
         odd_as_sets = {frozenset(c) for c in rep.odd_components}
         fin_as_sets = {frozenset(c) for c in rep.finite_components}
         assert odd_as_sets <= fin_as_sets
+
+    @given(graphs(max_n=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_finite_components_on_windows(self, g, data):
+        n = g.vertex_count
+        interior = data.draw(st.frozensets(st.integers(0, n - 1)))
+        w = Window(g, interior, (0,) * n)
+        x = data.draw(st.sets(st.integers(0, n - 1)))
+        expected, _ = classify_components(w, x)
+        assert list(hull_report(w, x).finite_components) == [
+            tuple(comp) for comp in expected
+        ]
+
+
+class TestFiniteCuts:
+    @staticmethod
+    def assert_agrees_with_adjacency_search(w, max_x):
+        for xs, _, finite in finite_cuts(w.graph, w.frontier_mask, max_x):
+            expected, _ = classify_components(w, xs)
+            assert [list(vertices_of(comp)) for comp in finite] == expected, xs
+
+    def test_free_ball_radius_two(self):
+        w = cayley_ball(GroupSpec.free(2), 2)
+        self.assert_agrees_with_adjacency_search(w, 4)
+        # The four radius-1 vertices cut the centre off; nothing smaller
+        # than a full neighbourhood cuts off anything.
+        cuts = {
+            xs: [vertices_of(comp) for comp in finite]
+            for xs, _, finite in finite_cuts(w.graph, w.frontier_mask, 4)
+            if finite
+        }
+        assert cuts[(1, 2, 3, 4)] == [(0,)]
+        assert min(len(xs) for xs in cuts) == 4
+
+    def test_finite_component_of_the_graph_away_from_x(self):
+        # The K4 on {2,3,4,7} touches no X that misses it, so only its
+        # least vertex can seed its search; X = {8} meets the pieces in
+        # the other order from N(X) = {5, 6, 9}.
+        self.assert_agrees_with_adjacency_search(TWO_PIECES, 3)
+        cuts = {
+            xs: [vertices_of(comp) for comp in finite]
+            for xs, _, finite in finite_cuts(TWO_PIECES.graph, TWO_PIECES.frontier_mask, 1)
+        }
+        assert cuts[()] == [(2, 3, 4, 7)]
+        assert cuts[(8,)] == [(0, 1, 5, 6), (2, 3, 4, 7)]
+
+    def test_search_may_cross_an_earlier_search(self):
+        # Path 0-1-2-3 with frontier vertex 0 and X = {4} next to 1 and 3:
+        # the search from 1 meets the frontier at 0, and the search from 3
+        # reaches it only through 2, which the first search explored.
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4), (3, 4)])
+        w = Window(g, frozenset({1, 2, 3, 4}), (1, 0, 0, 0, 0))
+        assert _finite_components(g.neighbor_masks, 0b01111, 0b01010, 1) == []
+        self.assert_agrees_with_adjacency_search(w, 2)
+
+    def test_explored_vertices_start_no_search(self):
+        # X = {0} with N(X) = {1, 2, 3}: the search from 1 takes in 2 and 3
+        # before it meets frontier vertex 4, so 1, 2 and 3 are each
+        # expanded once and no second search starts.
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
+        masks = CountingMasks(g.neighbor_masks)
+        assert _finite_components(masks, 0b11110, 0b01110, 0b10000) == []
+        assert masks.lookups == 3
+
+
+class TestConnectedSets:
+    @given(graphs(max_n=9), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_each_connected_set_exactly_once(self, g, data):
+        n = g.vertex_count
+        max_f = data.draw(st.integers(1, n))
+        got = list(_connected_sets(g.neighbor_masks, n, max_f))
+        expected = {
+            mask_of(fs)
+            for size in range(1, max_f + 1)
+            for fs in itertools.combinations(range(n), size)
+            if is_connected(g, fs)
+        }
+        assert len(got) == len(set(got))
+        assert set(got) == expected
 
 
 class TestCheckTutte:
@@ -177,15 +289,6 @@ class TestExpansionConstant:
         assert epsilon_from_delta(rep.delta_lower, 4) <= 1
 
     def test_matches_brute_force_minimum_on_windows_with_stubs(self):
-        def connected(g, fs):
-            seen, stack = {fs[0]}, [fs[0]]
-            while stack:
-                for u in g.adjacency[stack.pop()]:
-                    if u in fs and u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            return len(seen) == len(fs)
-
         rng = random.Random(31)
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 7), 0.45)
@@ -202,7 +305,7 @@ class TestExpansionConstant:
                     ), size), fs)
                     for size in range(1, max_f + 1)
                     for fs in itertools.combinations(range(n), size)
-                    if not connected_only or connected(g, fs)
+                    if not connected_only or is_connected(g, fs)
                 ]
                 best = min(ratio for ratio, _ in scored)
                 first = next(fs for ratio, fs in scored if ratio == best)
