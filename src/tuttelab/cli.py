@@ -2,9 +2,15 @@
 
 Subcommands: generate, match, verify-tutte, expansion, layered, orient,
 gadget-audit.  Graphs travel through the edge-list text format of
-tuttelab.core; rationals are written "p/q" on the command line.  Exit
-codes: 0 = pass/success, 1 = violation or failure found (a valid
-analytical result), 2 = usage or input error.
+tuttelab.core; rationals are written "p/q" on the command line.  Each
+subcommand returns its report text and whether it passed; main alone
+writes the text (to stdout or --output) and picks the exit code:
+
+  0  pass/success
+  1  violation or failure found (a valid analytical result)
+  2  usage or input error, an unreadable input or an unwritable --output
+  3  internal failure: a failed internal check, or an unexpected
+     exception (its traceback goes to stderr)
 
 TUTTELAB_THREADS, when set, caps internal parallelism.  The current
 engines are sequential, so any valid cap is honored trivially; the value
@@ -16,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from . import generators, layered, matching, orientation, verifier
@@ -24,6 +31,7 @@ from .core import InputError, Window, format_graph, format_window, parse_window_
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _fraction(text: str) -> Fraction:
@@ -34,21 +42,19 @@ def _fraction(text: str) -> Fraction:
 
 
 def _read_window(path: str) -> Window:
-    if path == "-":
-        return parse_window_text(sys.stdin.read())
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_window_text(fh.read())
-    except OSError as exc:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    return parse_window_text(text)
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _lines(lines: list[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
 def _parse_permutation(text: str, points: int) -> tuple[int, ...]:
@@ -86,7 +92,7 @@ def _violation_line(v: verifier.Violation) -> str:
     )
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> tuple[str, bool]:
     chosen = [
         args.fixture is not None,
         args.free_rank is not None,
@@ -98,13 +104,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if sum(chosen) != 1:
         raise InputError("choose exactly one generator family")
     if args.fixture is not None:
-        graph = generators.fixture(args.fixture)
-        _write_output(format_graph(graph), args.output)
-        return EXIT_PASS
+        return format_graph(generators.fixture(args.fixture)), True
     if args.grandparent_depth is not None:
         window = generators.grandparent_window(args.grandparent_depth)
-        _write_output(format_window(window), args.output)
-        return EXIT_PASS
+        return format_window(window), True
     if args.perm:
         if args.points is None:
             raise InputError("--perm requires --points")
@@ -118,8 +121,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 f"collapsed {build.parallel_collapsed} parallel edges",
                 file=sys.stderr,
             )
-        _write_output(format_graph(build.graph), args.output)
-        return EXIT_PASS
+        return format_graph(build.graph), True
     if args.radius is None:
         raise InputError("Cayley-ball generators require --radius")
     if args.free_rank is not None:
@@ -132,22 +134,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         spec = generators.GroupSpec.free_product_of_cyclic(orders)
     else:
         spec = generators.GroupSpec.abelian_grid(args.grid_dim)
-    window = generators.cayley_ball(spec, args.radius)
-    _write_output(format_window(window), args.output)
-    return EXIT_PASS
+    return format_window(generators.cayley_ball(spec, args.radius)), True
 
 
-def _cmd_match(args: argparse.Namespace) -> int:
+def _cmd_match(args: argparse.Namespace) -> tuple[str, bool]:
     w = _read_window(args.input)
     state = matching.max_matching(w.graph)
     lines = [f"{e.u} {e.v}" for e in state.edges]
     perfect = "yes" if state.covers(w.graph) else "no"
     lines.append(f"size={state.size} perfect={perfect}")
-    _write_output("\n".join(lines) + "\n", args.output)
-    return EXIT_PASS
+    return _lines(lines), True
 
 
-def _cmd_verify_tutte(args: argparse.Namespace) -> int:
+def _cmd_verify_tutte(args: argparse.Namespace) -> tuple[str, bool]:
     w = _read_window(args.input)
     report = verifier.check_tutte_eps_k(w, args.epsilon, args.k, args.max_x)
     out = [
@@ -160,11 +159,10 @@ def _cmd_verify_tutte(args: argparse.Namespace) -> int:
         f"epsilon={report.epsilon} k={report.k} max_x={report.max_x} "
         f"candidates={report.candidates} violations={len(report.violations)}"
     )
-    _write_output("\n".join(out) + "\n", args.output)
-    return EXIT_PASS if report.passed else EXIT_VIOLATION
+    return _lines(out), report.passed
 
 
-def _cmd_expansion(args: argparse.Namespace) -> int:
+def _cmd_expansion(args: argparse.Namespace) -> tuple[str, bool]:
     w = _read_window(args.input)
     if args.lemma:
         if args.degree is None or args.delta is None or args.max_x is None:
@@ -179,8 +177,7 @@ def _cmd_expansion(args: argparse.Namespace) -> int:
             f"verdict={'pass' if report.passed else 'fail'} "
             f"candidates={report.candidates} violations={len(report.violations)}"
         )
-        _write_output("\n".join(out) + "\n", args.output)
-        return EXIT_PASS if report.passed else EXIT_VIOLATION
+        return _lines(out), report.passed
     report = verifier.expansion_constant(
         w, args.max_f, connected_only=not args.all_sets
     )
@@ -194,11 +191,10 @@ def _cmd_expansion(args: argparse.Namespace) -> int:
         f"exhaustive={'yes' if report.exhaustive else 'no'} "
         f"checked={report.checked}",
     ]
-    _write_output("\n".join(out) + "\n", args.output)
-    return EXIT_PASS
+    return _lines(out), True
 
 
-def _cmd_layered(args: argparse.Namespace) -> int:
+def _cmd_layered(args: argparse.Namespace) -> tuple[str, bool]:
     w = _read_window(args.input)
     schedule = layered.build_schedule(args.epsilon, args.levels)
     nets = layered.build_nets(w, schedule)
@@ -223,22 +219,19 @@ def _cmd_layered(args: argparse.Namespace) -> int:
         f"coverage={run.coverage} aborted={'yes' if run.aborted else 'no'} "
         f"verdict={'pass' if run.passed else 'fail'}"
     )
-    _write_output("\n".join(out) + "\n", args.output)
-    return EXIT_PASS if run.passed else EXIT_VIOLATION
+    return _lines(out), run.passed
 
 
-def _cmd_orient(args: argparse.Namespace) -> int:
+def _cmd_orient(args: argparse.Namespace) -> tuple[str, bool]:
     w = _read_window(args.input)
     if args.method == "euler":
         o = orientation.eulerian_orientation(w.graph)
     else:
         o = orientation.balanced_orientation_via_gadget(w.graph)
-    lines = [f"{e.u} {e.v} -> {head}" for e, head in o.heads]
-    _write_output("\n".join(lines) + ("\n" if lines else ""), args.output)
-    return EXIT_PASS
+    return _lines([f"{e.u} {e.v} -> {head}" for e, head in o.heads]), True
 
 
-def _cmd_gadget_audit(args: argparse.Namespace) -> int:
+def _cmd_gadget_audit(args: argparse.Namespace) -> tuple[str, bool]:
     w = _read_window(args.input)
     gadget = orientation.build_gadget(w.graph, w.external_stubs)
     report = orientation.check_gadget_hall_expansion(gadget, args.epsilon, args.max_f)
@@ -254,8 +247,7 @@ def _cmd_gadget_audit(args: argparse.Namespace) -> int:
         f"verdict={'pass' if report.passed else 'fail'} "
         f"verdict_raw={'pass' if report.passed_raw else 'fail'}"
     )
-    _write_output("\n".join(out) + "\n", args.output)
-    return EXIT_PASS if report.passed else EXIT_VIOLATION
+    return _lines(out), report.passed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,8 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
         "orientations on finite graph windows.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--output", "-o", help="write the report here, not to stdout")
 
-    p = sub.add_parser("generate", help="emit a graph or window")
+    def command(name, func, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("generate", _cmd_generate, "emit a graph or window")
     p.add_argument("--fixture", help="e.g. cycle(8), petersen, random_regular(10,3,1)")
     p.add_argument("--free-rank", type=int, dest="free_rank")
     p.add_argument("--cyclic-orders", dest="cyclic_orders",
@@ -277,23 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int)
     p.add_argument("--perm", action="append", default=[],
                    help='generator in cycle notation, e.g. "0 1,2 3" (repeatable)')
-    p.add_argument("--output", "-o")
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("match", help="maximum matching of the input graph")
+    p = command("match", _cmd_match, "maximum matching of the input graph")
     p.add_argument("input")
-    p.add_argument("--output", "-o")
-    p.set_defaults(func=_cmd_match)
 
-    p = sub.add_parser("verify-tutte", help="quantitative Tutte check")
+    p = command("verify-tutte", _cmd_verify_tutte, "quantitative Tutte check")
     p.add_argument("input")
     p.add_argument("--epsilon", type=_fraction, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-x", type=int, required=True, dest="max_x")
-    p.add_argument("--output", "-o")
-    p.set_defaults(func=_cmd_verify_tutte)
 
-    p = sub.add_parser("expansion", help="edge-expansion estimate or lemma check")
+    p = command("expansion", _cmd_expansion, "edge-expansion estimate or lemma check")
     p.add_argument("input")
     p.add_argument("--max-f", type=int, dest="max_f", default=4)
     p.add_argument("--all-sets", action="store_true", dest="all_sets",
@@ -303,29 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int)
     p.add_argument("--delta", type=_fraction)
     p.add_argument("--max-x", type=int, dest="max_x")
-    p.add_argument("--output", "-o")
-    p.set_defaults(func=_cmd_expansion)
 
-    p = sub.add_parser("layered", help="run the layered matching construction")
+    p = command("layered", _cmd_layered, "run the layered matching construction")
     p.add_argument("input")
     p.add_argument("--epsilon", type=_fraction, required=True)
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--cert-max-x", type=int, dest="cert_max_x", default=4)
-    p.add_argument("--output", "-o")
-    p.set_defaults(func=_cmd_layered)
 
-    p = sub.add_parser("orient", help="balanced orientation of an even graph")
+    p = command("orient", _cmd_orient, "balanced orientation of an even graph")
     p.add_argument("input")
     p.add_argument("--method", choices=["gadget", "euler"], default="euler")
-    p.add_argument("--output", "-o")
-    p.set_defaults(func=_cmd_orient)
 
-    p = sub.add_parser("gadget-audit", help="Hall-expansion audit of the gadget")
+    p = command("gadget-audit", _cmd_gadget_audit, "Hall-expansion audit of the gadget")
     p.add_argument("input")
     p.add_argument("--epsilon", type=_fraction, required=True)
     p.add_argument("--max-f", type=int, dest="max_f", default=4)
-    p.add_argument("--output", "-o")
-    p.set_defaults(func=_cmd_gadget_audit)
 
     return parser
 
@@ -343,17 +328,28 @@ def _check_thread_cap() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_thread_cap()
-        return args.func(args)
+        text, passed = args.func(args)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.output}: {exc}") from None
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except orientation.GadgetMatchingError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return EXIT_INTERNAL
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
+    return EXIT_PASS if passed else EXIT_VIOLATION
 
 
 if __name__ == "__main__":

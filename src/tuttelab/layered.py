@@ -19,6 +19,7 @@ directly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -219,9 +220,6 @@ def run_layered_matching(
     if w.is_closed and not has_perfect_matching(w.graph):
         raise InputError("closed window has no perfect matching")
 
-    current = w
-    orig_ids = tuple(range(w.graph.vertex_count))
-    cur_of_orig = {v: v for v in orig_ids}
     matched: list[Edge] = []
     covered: set[int] = set()
     certificates: list[LevelCertificate] = []
@@ -235,22 +233,18 @@ def run_layered_matching(
         for x in sorted(net):
             if x in covered:
                 continue
-            cx = cur_of_orig[x]
+            sub = remove_window_vertices(w, covered)
             try:
-                e_cur = least_extendable_edge(current.graph, cx)
+                e = least_extendable_edge(sub.graph, bisect_left(sub.original_ids, x))
             except InputError:
                 failed.append(x)
                 aborted = True
                 break
-            e_orig = Edge.of(orig_ids[e_cur.u], orig_ids[e_cur.v])
-            chosen.append(e_orig)
-            matched.append(e_orig)
-            covered.add(e_orig.u)
-            covered.add(e_orig.v)
-            sub = remove_window_vertices(current, {e_cur.u, e_cur.v})
-            current = sub.window
-            orig_ids = tuple(orig_ids[i] for i in sub.original_ids)
-            cur_of_orig = {v: i for i, v in enumerate(orig_ids)}
+            e = Edge.of(sub.original_ids[e.u], sub.original_ids[e.v])
+            chosen.append(e)
+            matched.append(e)
+            covered.update((e.u, e.v))
+        current = remove_window_vertices(w, covered).window
         odd_now = hull_report(current, ()).odd_components
         tutte = check_tutte_eps_k(current, eps_n, f_n, cert_max_x)
         certificates.append(

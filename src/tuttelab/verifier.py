@@ -188,14 +188,8 @@ def hull_report(w: Window, x: Iterable[int]) -> HullReport:
     for v in xs:
         if not 0 <= v < n:
             raise InputError(f"vertex {v} out of range")
-    masks = w.graph.neighbor_masks
     avail = w.graph.full_mask & ~mask_of(xs)
-    frontier_mask = w.frontier_mask
-    comps = (
-        _finite_components(masks, avail, avail, frontier_mask)
-        if frontier_mask
-        else mask_components(masks, avail)
-    )
+    comps = _finite_components(w.graph.neighbor_masks, avail, avail, w.frontier_mask)
     finite = [vertices_of(comp) for comp in comps]
     odd = [verts for verts in finite if len(verts) % 2 == 1]
     hull_odd = frozenset(xs) | {v for c in odd for v in c}

@@ -11,7 +11,9 @@ import itertools
 import random
 from functools import lru_cache
 
-from tuttelab import Graph, max_matching
+from hypothesis import strategies as st
+
+from tuttelab import Graph, Window, max_matching
 
 
 def brute_matching_size(g: Graph) -> int:
@@ -143,3 +145,21 @@ def pendant_completion(g: Graph) -> Graph:
     for i, v in enumerate(missed):
         edges.append((v, n + i))
     return Graph.from_edges(n + len(missed), edges)
+
+
+@st.composite
+def windows(draw, max_n: int) -> Window:
+    """Hypothesis strategy: a window on at most max_n vertices.
+
+    Closed windows are drawn about as often as open ones; frontier
+    vertices carry 0-3 stubs.
+    """
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    if n == 0 or draw(st.booleans()):
+        interior = frozenset(range(n))
+    else:
+        interior = draw(st.frozensets(st.integers(0, n - 1)))
+    stubs = tuple(0 if v in interior else draw(st.integers(0, 3)) for v in range(n))
+    return Window(Graph.from_edges(n, sorted(edges)), interior, stubs)

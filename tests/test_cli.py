@@ -1,8 +1,20 @@
+import contextlib
+import io
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tuttelab import Graph, fixture, format_graph, format_window, parse_window_text
+from helpers import windows
+from tuttelab import (
+    Graph,
+    fixture,
+    format_graph,
+    format_window,
+    orientation,
+    parse_window_text,
+)
 from tuttelab.cli import main
 
 
@@ -243,3 +255,118 @@ class TestDeterminism:
         target = tmp_path / "out.txt"
         run_cli(capsys, "match", cycle4_file, "-o", str(target))
         assert target.read_text() == out
+
+
+class TestExitCodes:
+    def test_usage_error_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["match"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."])
+    def test_unwritable_output(self, capsys, tmp_path, target):
+        path = str(tmp_path / target)
+        code, out, err = run_cli(
+            capsys, "generate", "--fixture", "cycle(4)", "-o", path
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+
+    def test_input_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"2 1\n0 1\n# \xff\n")
+        code, _, err = run_cli(capsys, "match", str(path))
+        assert code == 2
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "Traceback" not in err
+
+    def test_stdin_not_utf8(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"2 1\n0 \xff\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, _, err = run_cli(capsys, "match", "-")
+        assert code == 2
+        assert err.startswith("error: cannot read -: ")
+
+    def test_failed_internal_check_exits_3(self, capsys, cycle4_file, monkeypatch):
+        def broken(g):
+            raise orientation.GadgetMatchingError("gadget matching not perfect", (0,))
+
+        monkeypatch.setattr(orientation, "balanced_orientation_via_gadget", broken)
+        code, out, err = run_cli(capsys, "orient", cycle4_file, "--method", "gadget")
+        assert code == 3
+        assert out == ""
+        assert err == "internal check failed: gadget matching not perfect\n"
+
+    def test_unexpected_exception_exits_3_with_traceback(
+        self, capsys, cycle4_file, monkeypatch
+    ):
+        def broken(g):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(orientation, "balanced_orientation_via_gadget", broken)
+        code, out, err = run_cli(capsys, "orient", cycle4_file, "--method", "gadget")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("Traceback")
+        assert err.endswith("RuntimeError: boom\n")
+
+    def test_edgeless_orient_prints_nothing(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text(format_graph(Graph.empty(3)))
+        assert run_cli(capsys, "orient", str(path)) == (0, "", "")
+
+
+# Replacement tokens stay small, so a mutated header never asks for a big graph.
+FUZZ_TOKENS = ["-1", "0", "1", "2", "3", "7", "x", "1/2", "#", "interior:", "stubs:"]
+FUZZ_COMMANDS = [
+    ["match"],
+    ["verify-tutte", "--epsilon", "1/2", "--k", "2", "--max-x", "2"],
+    ["expansion", "--max-f", "3"],
+    ["expansion", "--lemma", "--degree", "3", "--delta", "1", "--max-x", "2"],
+    ["layered", "--epsilon", "1", "--levels", "2", "--cert-max-x", "2"],
+    ["orient", "--method", "euler"],
+    ["orient", "--method", "gadget"],
+    ["gadget-audit", "--epsilon", "1/5", "--max-f", "3"],
+]
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A serialised window on at most 8 vertices, with up to 3 mutations."""
+    lines = format_window(draw(windows(max_n=8))).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["token", "drop", "copy", "insert", "swap"]))
+        if kind == "insert" or i == len(lines):
+            tokens = draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=3))
+            lines.insert(i, " ".join(tokens))
+        elif kind == "token":
+            tokens = lines[i].split()
+            j = draw(st.integers(0, len(tokens)))
+            tokens[j:j + 1] = [draw(st.sampled_from(FUZZ_TOKENS))]
+            lines[i] = " ".join(tokens)
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "copy":
+            lines.insert(i, lines[i])
+        else:
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return "".join(f"{line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS, ids=" ".join)
+@given(text=mutated_inputs())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_input_exits_with_a_documented_code(command, text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], "-", *command[1:]])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

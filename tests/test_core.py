@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import windows
 from tuttelab import (
     Edge,
     Graph,
@@ -305,3 +306,8 @@ class TestFileFormat:
     @settings(max_examples=40, deadline=None)
     def test_round_trip_random(self, g):
         assert parse_graph_text(format_graph(g)) == g
+
+    @given(windows(max_n=10))
+    @settings(max_examples=100, deadline=None)
+    def test_window_round_trip_random(self, w):
+        assert parse_window_text(format_window(w)) == w
