@@ -149,17 +149,25 @@ class Window:
     external_stubs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # Every check runs at builtin speed; the per-vertex loops run only
+        # on a failed check, to name the offending vertex.
         n = self.graph.vertex_count
-        if len(self.external_stubs) != n:
+        interior = self.interior
+        stubs = self.external_stubs
+        if len(stubs) != n:
             raise InputError("external_stubs must list one count per vertex")
-        for v in self.interior:
-            if not 0 <= v < n:
-                raise InputError(f"interior vertex {v} out of range")
-        for v, k in enumerate(self.external_stubs):
-            if k < 0:
-                raise InputError(f"negative stub count at vertex {v}")
-            if k > 0 and v in self.interior:
-                raise InputError(f"interior vertex {v} has external stubs")
+        if interior and (min(interior) < 0 or max(interior) >= n):
+            for v in interior:
+                if not 0 <= v < n:
+                    raise InputError(f"interior vertex {v} out of range")
+        if any(stubs) and (
+            min(stubs) < 0 or any(map(stubs.__getitem__, interior))
+        ):
+            for v, k in enumerate(stubs):
+                if k < 0:
+                    raise InputError(f"negative stub count at vertex {v}")
+                if k > 0 and v in interior:
+                    raise InputError(f"interior vertex {v} has external stubs")
 
     @classmethod
     def closed(cls, graph: Graph) -> "Window":

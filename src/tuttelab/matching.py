@@ -1,11 +1,15 @@
 """Matching oracles.
 
-Maximum matching in general graphs is computed with the classic
-alternating-forest search plus blossom contraction (O(V^3)); bipartite
-graphs get Hopcroft-Karp.  Both scan vertices and sorted adjacency lists
-in canonical order, so results are reproducible run to run.  The
-Tutte-Berge deficiency is an exhaustive, enumeration-based cross-oracle:
-it never consults the augmenting-path machinery.
+Maximum matching in general graphs is computed with Edmonds' search for
+augmenting paths in an alternating tree, with blossom contraction (O(V^3)
+in the worst case).  Each search works only on the vertices its tree
+reaches: the search state is allocated once per call and reset on the
+tree alone, so on sparse inputs, where most trees stay small, the whole
+matching takes near-linear time.  Bipartite graphs get Hopcroft-Karp.
+Both scan vertices and sorted adjacency lists in canonical order, so
+results are reproducible run to run.  The Tutte-Berge deficiency is an
+exhaustive, enumeration-based cross-oracle: it never consults the
+augmenting-path machinery.
 """
 
 from __future__ import annotations
@@ -60,44 +64,64 @@ def max_matching(g: Graph) -> MatchingState:
 
     Roots are tried in ascending id order and adjacency lists are already
     sorted, so the returned edge set is deterministic (its size is the
-    canonical quantity).
+    canonical quantity).  A free root with a free neighbour is matched to
+    its least one; any other free root starts a breadth-first alternating
+    search (Edmonds, "Paths, trees, and flowers", 1965).  The search
+    state is allocated once per call, and each search reads, relabels
+    and resets only the vertices of its own tree, so a search costs time
+    in its tree's size rather than in n.  A contracted blossom relabels
+    just the members of the blossoms it swallows, and queues the inner
+    vertices that turn outer in ascending id order: the order a scan of
+    all n vertices would give.  The matching is therefore the same, edge
+    for edge, as that of a search that rebuilds its state at every root.
     """
     n = g.vertex_count
     adj = g.adjacency
     mate = [-1] * n
+    # Search state, reset after each search on that search's tree only.
+    used = [False] * n
+    parent = [-1] * n
+    base = list(range(n))
+    # Stamp marks: each lca walk and each blossom takes a fresh stamp, so
+    # the array never needs clearing.
+    mark = [0] * n
+    stamp = 0
 
-    def augment_from(root: int) -> None:
+    def lca(a: int, b: int, s: int) -> int:
+        x = a
+        while True:
+            x = base[x]
+            mark[x] = s
+            if mate[x] == -1:
+                break
+            x = parent[mate[x]]
+        y = b
+        while True:
+            y = base[y]
+            if mark[y] == s:
+                return y
+            y = parent[mate[y]]
+
+    def mark_path(v: int, b: int, child: int, s: int, bases: list[int]) -> None:
+        # Collect, once each, the bases of the blossoms on the path to b.
+        while base[v] != b:
+            for x in (base[v], base[mate[v]]):
+                if mark[x] != s:
+                    mark[x] = s
+                    bases.append(x)
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    def search(root: int) -> None:
         # BFS over outer (even) vertices; base[] tracks blossom contraction.
-        used = [False] * n
-        parent = [-1] * n
-        base = list(range(n))
+        nonlocal stamp
+        tree = [root]
+        # Members of each contracted blossom, keyed by its base; a vertex
+        # missing from every list is its own base.
+        members: dict[int, list[int]] = {}
         used[root] = True
         queue = deque([root])
-
-        def lca(a: int, b: int) -> int:
-            seen = [False] * n
-            x = a
-            while True:
-                x = base[x]
-                seen[x] = True
-                if mate[x] == -1:
-                    break
-                x = parent[mate[x]]
-            y = b
-            while True:
-                y = base[y]
-                if seen[y]:
-                    return y
-                y = parent[mate[y]]
-
-        def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
-            while base[v] != b:
-                in_blossom[base[v]] = True
-                in_blossom[base[mate[v]]] = True
-                parent[v] = child
-                child = mate[v]
-                v = parent[mate[v]]
-
         while queue:
             v = queue.popleft()
             for to in adj[v]:
@@ -105,18 +129,34 @@ def max_matching(g: Graph) -> MatchingState:
                     continue
                 if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
                     # Odd cycle: contract the blossom around its base vertex.
-                    cur = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, cur, to, in_blossom)
-                    mark_path(to, cur, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = cur
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
+                    stamp += 2
+                    cur = lca(v, to, stamp - 1)
+                    bases: list[int] = []
+                    mark_path(v, cur, to, stamp, bases)
+                    mark_path(to, cur, v, stamp, bases)
+                    blossom = members.setdefault(cur, [cur])
+                    fresh = []
+                    for b in bases:
+                        inner = members.pop(b, None)
+                        if inner is None:
+                            base[b] = cur
+                            blossom.append(b)
+                        else:
+                            for i in inner:
+                                base[i] = cur
+                            blossom.extend(inner)
+                        # An inner vertex is never relabelled before it
+                        # turns outer, so each one that does is in bases.
+                        if not used[b]:
+                            fresh.append(b)
+                    # Ascending ids: the queue order of a full 0..n-1 scan.
+                    fresh.sort()
+                    for b in fresh:
+                        used[b] = True
+                    queue.extend(fresh)
                 elif parent[to] == -1:
                     parent[to] = v
+                    tree.append(to)
                     if mate[to] == -1:
                         # Flip matched/unmatched along the path back to root.
                         x = to
@@ -126,13 +166,27 @@ def max_matching(g: Graph) -> MatchingState:
                             mate[x] = px
                             mate[px] = x
                             x = nxt
-                        return
-                    used[mate[to]] = True
-                    queue.append(mate[to])
+                        queue.clear()
+                        break
+                    m = mate[to]
+                    used[m] = True
+                    tree.append(m)
+                    queue.append(m)
+        for x in tree:
+            used[x] = False
+            parent[x] = -1
+            base[x] = x
 
     for root in range(n):
-        if mate[root] == -1 and adj[root]:
-            augment_from(root)
+        if mate[root] != -1:
+            continue
+        for to in adj[root]:
+            if mate[to] == -1:
+                mate[root] = to
+                mate[to] = root
+                break
+        else:
+            search(root)
 
     pairs = [(v, mate[v]) for v in range(n) if mate[v] > v]
     return MatchingState.from_pairs(pairs, g)

@@ -1,19 +1,22 @@
 """Shared test oracles and corpus builders.
 
-The oracles here deliberately avoid the package's augmenting-path
+The size oracles here deliberately avoid the package's augmenting-path
 machinery: matching sizes come from a bitmask dynamic program and the
-Berge check walks alternating simple paths by brute force.
+Berge check walks alternating simple paths by brute force.  The one
+exception is ``reference_max_matching``, the plain O(V^3) blossom search
+that ``max_matching`` must reproduce edge for edge.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter, deque
 from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from tuttelab import Graph, Window, max_matching
+from tuttelab import Graph, MatchingState, Window, max_matching
 
 
 def brute_matching_size(g: Graph) -> int:
@@ -40,6 +43,88 @@ def brute_matching_size(g: Graph) -> int:
     value = best(g.full_mask)
     best.cache_clear()
     return value
+
+
+def reference_max_matching(g: Graph) -> MatchingState:
+    """Blossom matching that restarts its whole search state at every root.
+
+    Every search allocates fresh ``used``/``parent``/``base`` arrays, every
+    ``lca`` a fresh ``seen`` array, and every blossom rescans all n
+    vertices in id order: O(n) per search, O(V^3) overall.  Roots,
+    adjacency order and tie-breaks are those of ``max_matching``, which
+    must return the same edges.
+    """
+    n = g.vertex_count
+    adj = g.adjacency
+    mate = [-1] * n
+
+    def augment_from(root: int) -> None:
+        used = [False] * n
+        parent = [-1] * n
+        base = list(range(n))
+        used[root] = True
+        queue = deque([root])
+
+        def lca(a: int, b: int) -> int:
+            seen = [False] * n
+            x = a
+            while True:
+                x = base[x]
+                seen[x] = True
+                if mate[x] == -1:
+                    break
+                x = parent[mate[x]]
+            y = b
+            while True:
+                y = base[y]
+                if seen[y]:
+                    return y
+                y = parent[mate[y]]
+
+        def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+            while base[v] != b:
+                in_blossom[base[v]] = True
+                in_blossom[base[mate[v]]] = True
+                parent[v] = child
+                child = mate[v]
+                v = parent[mate[v]]
+
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or mate[v] == to:
+                    continue
+                if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                    cur = lca(v, to)
+                    in_blossom = [False] * n
+                    mark_path(v, cur, to, in_blossom)
+                    mark_path(to, cur, v, in_blossom)
+                    for i in range(n):
+                        if in_blossom[base[i]]:
+                            base[i] = cur
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if mate[to] == -1:
+                        x = to
+                        while x != -1:
+                            px = parent[x]
+                            nxt = mate[px]
+                            mate[x] = px
+                            mate[px] = x
+                            x = nxt
+                        return
+                    used[mate[to]] = True
+                    queue.append(mate[to])
+
+    for root in range(n):
+        if mate[root] == -1 and adj[root]:
+            augment_from(root)
+
+    pairs = [(v, mate[v]) for v in range(n) if mate[v] > v]
+    return MatchingState.from_pairs(pairs, g)
 
 
 def has_augmenting_path(g: Graph, matching_edges) -> bool:
@@ -130,6 +215,42 @@ def random_even_degree_graph(rng: random.Random, n: int) -> Graph:
                 edges.add((min(a, b), max(a, b)))
             if ok:
                 return Graph.from_edges(n, sorted(edges))
+
+
+def random_regular_graph(rng: random.Random, n: int, d: int) -> Graph:
+    """Random simple d-regular graph: pairing model with switch repair.
+
+    Loops and repeated pairs are switched with a random other pair rather
+    than redrawing the whole pairing, so the cost barely depends on the
+    seed even at n = 20000.  n * d must be even.
+    """
+    points = [v for v in range(n) for _ in range(d)]
+    rng.shuffle(points)
+    pairs = [[points[i], points[i + 1]] for i in range(0, len(points), 2)]
+
+    def key(a: int, b: int) -> tuple[int, int]:
+        return (a, b) if a < b else (b, a)
+
+    present = Counter(key(a, b) for a, b in pairs)
+    bad = [i for i, (a, b) in enumerate(pairs) if a == b or present[key(a, b)] > 1]
+    while bad:
+        i = bad.pop()
+        a, b = pairs[i]
+        if a != b and present[key(a, b)] == 1:
+            continue
+        j = rng.randrange(len(pairs))
+        c, e = pairs[j] if rng.random() < 0.5 else reversed(pairs[j])
+        if j == i or a == c or b == e or present[key(a, c)] or present[key(b, e)] \
+                or key(a, c) == key(b, e):
+            bad.append(i)
+            continue
+        present[key(a, b)] -= 1
+        present[key(c, e)] -= 1
+        pairs[i] = [a, c]
+        pairs[j] = [b, e]
+        present[key(a, c)] += 1
+        present[key(b, e)] += 1
+    return Graph.from_edges(n, (key(a, b) for a, b in pairs))
 
 
 def pendant_completion(g: Graph) -> Graph:

@@ -245,6 +245,51 @@ class TestWindowValidation:
         with pytest.raises(InputError):
             Window(g, frozenset({0}), (0, 0, -1))
 
+    @pytest.mark.parametrize("v", [-1, 3, 7])
+    def test_interior_vertex_out_of_range_rejected(self, v):
+        g = fixture("path(3)")
+        with pytest.raises(InputError, match=f"interior vertex {v} out of range"):
+            Window(g, frozenset({0, v}), (0, 0, 0))
+
+    @pytest.mark.parametrize("stubs", [(), (0, 0), (0, 0, 0, 0)])
+    def test_stub_tuple_of_wrong_length_rejected(self, stubs):
+        g = fixture("path(3)")
+        with pytest.raises(InputError, match="one count per vertex"):
+            Window(g, frozenset(), stubs)
+
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.frozensets(st.integers(-2, n + 1), max_size=n + 1),
+                st.lists(st.integers(-1, 2), min_size=n, max_size=n),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_validation_names_the_first_offender(self, case):
+        # The per-vertex scan the validation must agree with, message and all.
+        n, interior, stubs = case
+        want = next(
+            (f"interior vertex {v} out of range" for v in interior if not 0 <= v < n),
+            None,
+        )
+        if want is None:
+            for v, k in enumerate(stubs):
+                if k < 0:
+                    want = f"negative stub count at vertex {v}"
+                    break
+                if k > 0 and v in interior:
+                    want = f"interior vertex {v} has external stubs"
+                    break
+        g = Graph.empty(n)
+        if want is None:
+            Window(g, interior, tuple(stubs))
+        else:
+            with pytest.raises(InputError) as err:
+                Window(g, interior, tuple(stubs))
+            assert str(err.value) == want
+
     def test_remove_window_vertices_keeps_marks(self):
         w = cayley_ball(GroupSpec.free(2), 1)
         sub = remove_window_vertices(w, {0})

@@ -4,7 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_matching_size, has_augmenting_path, random_graph
+from helpers import (
+    brute_matching_size,
+    has_augmenting_path,
+    random_graph,
+    random_regular_graph,
+    reference_max_matching,
+)
 from tuttelab import (
     Edge,
     Graph,
@@ -21,10 +27,14 @@ from tuttelab import (
 
 
 @st.composite
-def graphs(draw, min_n=1, max_n=10):
+def graphs(draw, min_n=1, max_n=10, max_density=1.0):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = list(itertools.combinations(range(n), 2))
-    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    if not pairs:
+        return Graph.empty(n)
+    edges = draw(
+        st.sets(st.sampled_from(pairs), max_size=int(max_density * len(pairs)))
+    )
     return Graph.from_edges(n, sorted(edges))
 
 
@@ -101,6 +111,84 @@ class TestMaxMatching:
     def test_deterministic(self):
         g = fixture("random_regular(10,3,7)")
         assert max_matching(g) == max_matching(g)
+
+
+BLOSSOM_FIXTURES = [
+    "cycle(3)",
+    "cycle(5)",
+    "cycle(7)",
+    "cycle(9)",
+    "cycle(15)",
+    "petersen",
+    "complete(3)",
+    "complete(4)",
+    "complete(5)",
+    "complete(6)",
+    "complete(7)",
+    "complete(8)",
+]
+
+
+# Minimised from random sparse graphs: in each, a search contracts a
+# blossom that swallows a blossom which had itself swallowed another, so
+# a relabelling that loses the innermost members returns other edges.
+NESTED_BLOSSOMS = [
+    Graph.from_edges(22, [
+        (0, 1), (0, 7), (1, 3), (2, 3), (2, 4), (2, 20), (4, 8), (5, 7), (5, 11),
+        (5, 17), (6, 10), (6, 11), (6, 21), (7, 11), (8, 19), (8, 21), (9, 11),
+        (9, 18), (10, 11), (10, 14), (11, 12), (12, 16), (13, 17), (13, 21),
+        (14, 15), (14, 16), (15, 19),
+    ]),
+    Graph.from_edges(26, [
+        (0, 5), (0, 14), (1, 4), (1, 20), (2, 5), (2, 20), (2, 21), (3, 6), (3, 18),
+        (4, 10), (4, 24), (5, 13), (6, 15), (7, 8), (7, 19), (7, 24), (8, 11),
+        (9, 14), (9, 22), (10, 18), (11, 23), (12, 16), (12, 22), (13, 24),
+        (14, 23), (15, 17), (16, 17), (17, 25), (19, 21),
+    ]),
+]
+
+
+class TestSameEdgesAsReference:
+    """``max_matching`` returns the reference search's matching edge for edge.
+
+    Where the two could differ (the queue order after a blossom, the
+    partner a free root takes) they differ on few inputs, mostly sparse
+    graphs with 20-40 vertices, so the seeded corpus is large.
+    """
+
+    def test_random_corpus(self):
+        rng = random.Random(2027)
+        for _ in range(3000):
+            g = random_graph(rng, rng.randint(1, 40), rng.uniform(0.02, 0.4))
+            assert max_matching(g).edges == reference_max_matching(g).edges
+
+    @pytest.mark.parametrize("name", BLOSSOM_FIXTURES)
+    def test_blossom_fixtures(self, name):
+        g = fixture(name)
+        assert max_matching(g).edges == reference_max_matching(g).edges
+
+    @pytest.mark.parametrize("g", NESTED_BLOSSOMS)
+    def test_nested_blossoms(self, g):
+        assert max_matching(g).edges == reference_max_matching(g).edges
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("n", [200, 500, 1000])
+    def test_random_regular(self, n, d):
+        for seed in range(4):
+            g = random_regular_graph(random.Random(seed), n, d)
+            assert max_matching(g).edges == reference_max_matching(g).edges
+
+    @given(graphs(max_n=40, max_density=0.4))
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis(self, g):
+        assert max_matching(g).edges == reference_max_matching(g).edges
+
+    def test_perfect_matching_at_scale(self):
+        g = random_regular_graph(random.Random(20000), 20000, 4)
+        m = max_matching(g)
+        assert m.size == 10000
+        assert m.covers(g)
+        assert all(g.has_edge(e.u, e.v) for e in m.edges)
 
 
 class TestPerfectMatching:
