@@ -8,6 +8,10 @@ vertices are interior, and how many edges each frontier vertex sends out
 of the truncated region (external stubs).  Component searches use that
 bookkeeping to decide which components of a vertex-deleted subgraph are
 genuinely finite and which would continue past the cut.
+
+Each graph question is answered here once: vertex ids by
+:meth:`Graph.vertex_set`, and every enumeration by the bitmask kernels
+:func:`finite_cuts` (over X) and :func:`_min_ratios` (over F).
 """
 
 from __future__ import annotations
@@ -108,6 +112,14 @@ class Graph:
                     out.append(Edge(v, u))
         return out
 
+    def vertex_set(self, vertices: Iterable[int]) -> set[int]:
+        """The ids as a set; InputError names the least one out of range."""
+        ids = set(vertices)
+        bad = [v for v in ids if not 0 <= v < self.vertex_count]
+        if bad:
+            raise InputError(f"vertex {min(bad)} out of range")
+        return ids
+
     def has_edge(self, a: int, b: int) -> bool:
         if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
             return False
@@ -205,10 +217,7 @@ class Subgraph:
 
 def remove_vertices(g: Graph, removed: Iterable[int]) -> Subgraph:
     """Induced subgraph on V(g) minus ``removed``, as a closed window."""
-    removed = set(removed)
-    for v in removed:
-        if not 0 <= v < g.vertex_count:
-            raise InputError(f"vertex {v} out of range")
+    removed = g.vertex_set(removed)
     keep = [v for v in range(g.vertex_count) if v not in removed]
     new_id = {v: i for i, v in enumerate(keep)}
     adjacency = tuple(
@@ -239,9 +248,7 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 def distance(g: Graph, u: int, v: int) -> int | None:
     """Hop count of a shortest u-v path, or None when unreachable."""
-    for x in (u, v):
-        if not 0 <= x < g.vertex_count:
-            raise InputError(f"vertex {x} out of range")
+    g.vertex_set((u, v))
     if u == v:
         return 0
     dist = {u: 0}
@@ -264,13 +271,10 @@ def classify_components(
 
     A component containing any frontier vertex is classified infinite;
     every other component is finite.  Both lists are ordered by least
-    vertex id.  Adjacency-list search in O(n + m) memory, unlike the
-    bitmask kernels of the verifiers.
+    vertex id, members sorted.  The one-off query for one X (used by
+    ``hull_report``), in O(n + m) memory; enumerations use :func:`finite_cuts`.
     """
-    xset = set(x)
-    for v in xset:
-        if not 0 <= v < w.graph.vertex_count:
-            raise InputError(f"vertex {v} out of range")
+    xset = w.graph.vertex_set(x)
     frontier = w.frontier
     finite: list[list[int]] = []
     infinite: list[list[int]] = []
@@ -299,7 +303,7 @@ def classify_components(
 
 
 # ---------------------------------------------------------------------------
-# Bitmask internals shared by the enumerative verifiers.
+# Bitmask internals shared by every X- and F-enumeration.
 
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
@@ -360,6 +364,73 @@ def iter_subsets(pool: Sequence[int], max_size: int) -> Iterator[tuple[int, ...]
     """Subsets of pool by ascending size, lexicographic within each size."""
     for size in range(min(max_size, len(pool)) + 1):
         yield from itertools.combinations(pool, size)
+
+
+def _finite_components(
+    masks: Sequence[int], avail: int, seeds: int, frontier_mask: int
+) -> list[int]:
+    """Finite components of the subgraph induced on avail that hold a seed.
+
+    Each search starts at the least seed left and stops at the first
+    breadth-first layer that touches frontier_mask; no vertex it reached
+    starts another search.  The components come sorted by least vertex,
+    the order of :func:`mask_components`.
+    """
+    comps = []
+    seeds &= avail
+    while seeds:
+        layer = seeds & -seeds
+        comp = 0
+        while layer and not layer & frontier_mask:
+            comp |= layer
+            nxt = 0
+            rest = layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nxt |= masks[low.bit_length() - 1]
+            layer = nxt & avail & ~comp
+        if not layer:
+            comps.append(comp)
+        seeds &= ~(comp | layer)
+    comps.sort(key=lambda comp: comp & -comp)
+    return comps
+
+
+def finite_cuts(
+    g: Graph, frontier_mask: int, max_x: int
+) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
+    """Yield (X, mask of X, finite component masks of g - X) for |X| <= max_x.
+
+    X runs over the vertex subsets in (size, lexicographic) order,
+    starting with the empty set; the components of each X are listed by
+    least vertex.  A component is finite when it contains no vertex of
+    frontier_mask; with frontier_mask 0 every component is, and each X
+    costs one :func:`mask_components` search.  With a frontier, a finite
+    component of g - X either touches N(X) or is a finite component of g
+    that X misses, so only those seeds are searched: N(X) minus X and the
+    least vertex of every finite component of g.
+    """
+    masks = g.neighbor_masks
+    full = g.full_mask
+    subsets = iter_subsets(range(g.vertex_count), max_x)
+    if not frontier_mask:
+        for xs in subsets:
+            xmask = mask_of(xs)
+            yield xs, xmask, mask_components(masks, full & ~xmask)
+        return
+    least = 0
+    for comp in mask_components(masks, full):
+        if not comp & frontier_mask:
+            least |= comp & -comp
+    for xs in subsets:
+        xmask = 0
+        nbrs = least
+        for v in xs:
+            xmask |= 1 << v
+            nbrs |= masks[v]
+        avail = full & ~xmask
+        yield xs, xmask, _finite_components(masks, avail, nbrs, frontier_mask)
 
 
 def _min_ratios(

@@ -157,8 +157,7 @@ def least_extendable_edge(g: Graph, x: int) -> Edge:
     partner in M is allowed, so only the smaller neighbors u need a test:
     x-u is allowed exactly when g - x - u is perfectly matchable.
     """
-    if not 0 <= x < g.vertex_count:
-        raise InputError(f"vertex {x} out of range")
+    g.vertex_set((x,))
     if not g.adjacency[x]:
         raise InputError(f"vertex {x} is isolated")
     m = max_matching(g)
@@ -217,6 +216,7 @@ def run_layered_matching(
         raise InputError("nets and schedule disagree on the number of levels")
     if cert_max_x < 1:
         raise InputError("cert_max_x must be positive")
+    w.graph.vertex_set(v for net in nets.levels for v in net)
     if w.is_closed and not has_perfect_matching(w.graph):
         raise InputError("closed window has no perfect matching")
 

@@ -9,7 +9,8 @@ matching takes near-linear time.  Bipartite graphs get Hopcroft-Karp.
 Both scan vertices and sorted adjacency lists in canonical order, so
 results are reproducible run to run.  The Tutte-Berge deficiency is an
 exhaustive, enumeration-based cross-oracle: it never consults the
-augmenting-path machinery.
+augmenting-path machinery.  Its X-enumeration is core's ``finite_cuts``;
+this module imports only core, so the verifier may import the oracles.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .core import Edge, Graph, InputError, remove_vertices
-from .verifier import finite_cuts
+from .core import Edge, Graph, InputError, finite_cuts, remove_vertices
 
 
 @dataclass(frozen=True)
@@ -216,10 +216,7 @@ def bipartite_max_matching(g: Graph, side: Iterable[int]) -> MatchingState:
     ``side`` and its complement must both be independent sets; anything
     else is rejected rather than silently mis-handled.
     """
-    left = frozenset(side)
-    for v in left:
-        if not 0 <= v < g.vertex_count:
-            raise InputError(f"vertex {v} out of range")
+    left = g.vertex_set(side)
     for e in g.edges():
         if (e.u in left) == (e.v in left):
             raise InputError(

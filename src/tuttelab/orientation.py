@@ -94,9 +94,7 @@ def verify_balanced(g: Graph, o: Orientation, interior: Iterable[int]) -> Balanc
         indeg[h] += 1
         outdeg[e.u if h == e.v else e.v] += 1
     bad = []
-    for v in sorted(set(interior)):
-        if not 0 <= v < g.vertex_count:
-            raise InputError(f"vertex {v} out of range")
+    for v in sorted(g.vertex_set(interior)):
         if indeg[v] != outdeg[v]:
             bad.append((v, indeg[v], outdeg[v]))
     return BalanceReport(tuple(bad))

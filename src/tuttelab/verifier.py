@@ -19,13 +19,13 @@ Finiteness of a component follows the window's frontier rule: a component
 touching the frontier would continue past the truncation and is treated
 as infinite.
 
-Every X-enumeration (the Tutte check, the expansion lemma, the matching
-module's Tutte-Berge oracle) runs through one kernel, :func:`finite_cuts`.
-On a window with a frontier it searches only from N(X) and from the finite
-components of G, and each search stops once it reaches the frontier.  The
-expansion estimate grows its connected sets by reverse search and, like the
-gadget Hall audit, finds its minimum ratio and witness with the
-minimum-ratio kernel of :mod:`tuttelab.core`.
+This module holds the inequalities, the reports and the expansion
+estimate; the graph questions behind them are answered in
+:mod:`tuttelab.core`.  X runs through core's ``finite_cuts`` (as in the
+Tutte-Berge oracle), and :func:`hull_report` reads one X's components from
+``classify_components``.  The expansion estimate grows connected sets by
+reverse search and, like the gadget Hall audit, takes its minimum ratio
+and witness from core's minimum-ratio kernel.
 """
 
 from __future__ import annotations
@@ -36,12 +36,13 @@ from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    Graph,
     InputError,
     Window,
+    _finite_components,  # not used here; kept importable from this module
     _min_ratios,
+    classify_components,
+    finite_cuts,
     iter_subsets,
-    mask_components,
     mask_is_connected,
     mask_of,
     vertices_of,
@@ -102,73 +103,6 @@ class ExpansionReport:
     checked: int
 
 
-def _finite_components(
-    masks: Sequence[int], avail: int, seeds: int, frontier_mask: int
-) -> list[int]:
-    """Finite components of the subgraph induced on avail that hold a seed.
-
-    Each search starts at the least seed left and stops at the first
-    breadth-first layer that touches frontier_mask; no vertex it reached
-    starts another search.  The components come sorted by least vertex,
-    the order of :func:`mask_components`.
-    """
-    comps = []
-    seeds &= avail
-    while seeds:
-        layer = seeds & -seeds
-        comp = 0
-        while layer and not layer & frontier_mask:
-            comp |= layer
-            nxt = 0
-            rest = layer
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                nxt |= masks[low.bit_length() - 1]
-            layer = nxt & avail & ~comp
-        if not layer:
-            comps.append(comp)
-        seeds &= ~(comp | layer)
-    comps.sort(key=lambda comp: comp & -comp)
-    return comps
-
-
-def finite_cuts(
-    g: Graph, frontier_mask: int, max_x: int
-) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
-    """Yield (X, mask of X, finite component masks of g - X) for |X| <= max_x.
-
-    X runs over the vertex subsets in (size, lexicographic) order,
-    starting with the empty set; the components of each X are listed by
-    least vertex.  A component is finite when it contains no vertex of
-    frontier_mask; with frontier_mask 0 every component is, and each X
-    costs one :func:`mask_components` search.  With a frontier, a finite
-    component of g - X either touches N(X) or is a finite component of g
-    that X misses, so only those seeds are searched: N(X) minus X and the
-    least vertex of every finite component of g.
-    """
-    masks = g.neighbor_masks
-    full = g.full_mask
-    subsets = iter_subsets(range(g.vertex_count), max_x)
-    if not frontier_mask:
-        for xs in subsets:
-            xmask = mask_of(xs)
-            yield xs, xmask, mask_components(masks, full & ~xmask)
-        return
-    least = 0
-    for comp in mask_components(masks, full):
-        if not comp & frontier_mask:
-            least |= comp & -comp
-    for xs in subsets:
-        xmask = 0
-        nbrs = least
-        for v in xs:
-            xmask |= 1 << v
-            nbrs |= masks[v]
-        avail = full & ~xmask
-        yield xs, xmask, _finite_components(masks, avail, nbrs, frontier_mask)
-
-
 def _mask_boundary(masks: Sequence[int], stubs: Sequence[int], f: int) -> int:
     """Edges leaving the vertex mask f, plus the external stubs of f."""
     count = 0
@@ -182,15 +116,9 @@ def _mask_boundary(masks: Sequence[int], stubs: Sequence[int], f: int) -> int:
 
 
 def hull_report(w: Window, x: Iterable[int]) -> HullReport:
-    """Components of w.graph - x classified by the frontier rule."""
+    """Finite components of w.graph - x by classify_components, and hulls."""
     xs = tuple(sorted(set(x)))
-    n = w.graph.vertex_count
-    for v in xs:
-        if not 0 <= v < n:
-            raise InputError(f"vertex {v} out of range")
-    avail = w.graph.full_mask & ~mask_of(xs)
-    comps = _finite_components(w.graph.neighbor_masks, avail, avail, w.frontier_mask)
-    finite = [vertices_of(comp) for comp in comps]
+    finite = [tuple(c) for c in classify_components(w, xs)[0]]
     odd = [verts for verts in finite if len(verts) % 2 == 1]
     hull_odd = frozenset(xs) | {v for c in odd for v in c}
     hull_fin = frozenset(xs) | {v for c in finite for v in c}
@@ -253,11 +181,7 @@ def check_tutte_eps_k(
 
 def edge_boundary(w: Window, f: Iterable[int]) -> int:
     """Edges leaving f, counting external stubs of vertices in f."""
-    fset = set(f)
-    n = w.graph.vertex_count
-    for v in fset:
-        if not 0 <= v < n:
-            raise InputError(f"vertex {v} out of range")
+    fset = w.graph.vertex_set(f)
     return _mask_boundary(w.graph.neighbor_masks, w.external_stubs, mask_of(fset))
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,18 +12,27 @@ from tuttelab import (
     Graph,
     GroupSpec,
     InputError,
+    NetLevels,
     Window,
+    bipartite_max_matching,
+    build_schedule,
     cayley_ball,
     classify_components,
     connected_components,
     distance,
+    edge_boundary,
+    eulerian_orientation,
     fixture,
     format_graph,
     format_window,
+    hull_report,
+    least_extendable_edge,
     parse_graph_text,
     parse_window_text,
     remove_vertices,
     remove_window_vertices,
+    run_layered_matching,
+    verify_balanced,
 )
 from tuttelab.core import _min_ratios, mask_of
 from tuttelab.verifier import _mask_boundary, finite_cuts
@@ -114,6 +124,51 @@ class TestRemoveVertices:
         assert second.graph == direct.graph
         composed = tuple(first.original_ids[v] for v in second.original_ids)
         assert composed == direct.original_ids
+
+
+# Every public entry point that takes vertex ids, called with one id v on
+# cycle(6); each must reject an id outside 0..5 with the same message.
+CYCLE6 = fixture("cycle(6)")
+VERTEX_ID_ENTRY_POINTS = {
+    "remove_vertices": lambda v: remove_vertices(CYCLE6, {v}),
+    "remove_window_vertices": lambda v: remove_window_vertices(Window.closed(CYCLE6), {v}),
+    "distance_from": lambda v: distance(CYCLE6, v, 0),
+    "distance_to": lambda v: distance(CYCLE6, 0, v),
+    "classify_components": lambda v: classify_components(Window.closed(CYCLE6), {v}),
+    "hull_report": lambda v: hull_report(Window.closed(CYCLE6), {v}),
+    "edge_boundary": lambda v: edge_boundary(Window.closed(CYCLE6), {v}),
+    "bipartite_max_matching": lambda v: bipartite_max_matching(CYCLE6, {v}),
+    "verify_balanced": lambda v: verify_balanced(CYCLE6, eulerian_orientation(CYCLE6), [v]),
+    "least_extendable_edge": lambda v: least_extendable_edge(CYCLE6, v),
+    # Checked before any work: unchecked, a net vertex -1 would be read as
+    # vertex 0 and the run would pass, and 6 would be recorded as a failed
+    # vertex, as if Tutte's condition had failed.
+    "layered_nets": lambda v: run_layered_matching(
+        Window.closed(CYCLE6), build_schedule(Fraction(1, 8), 1), NetLevels(((v,),), ()), 2
+    ),
+}
+
+
+class TestVertexIdCheck:
+    @pytest.mark.parametrize("v", [-1, 6])
+    @pytest.mark.parametrize("entry", sorted(VERTEX_ID_ENTRY_POINTS))
+    def test_every_entry_point_rejects_the_id(self, entry, v):
+        with pytest.raises(InputError) as err:
+            VERTEX_ID_ENTRY_POINTS[entry](v)
+        assert str(err.value) == f"vertex {v} out of range"
+
+    def test_least_bad_id_is_named(self):
+        with pytest.raises(InputError) as err:
+            CYCLE6.vertex_set([9, 7, -2, 3, -1])
+        assert str(err.value) == "vertex -2 out of range"
+        with pytest.raises(InputError) as err:
+            distance(CYCLE6, 9, 7)
+        assert str(err.value) == "vertex 7 out of range"
+
+    def test_valid_ids_come_back_as_a_set(self):
+        assert CYCLE6.vertex_set(iter([5, 0, 5])) == {0, 5}
+        assert CYCLE6.vertex_set(()) == set()
+        assert Graph.empty(0).vertex_set([]) == set()
 
 
 class TestConnectedComponents:
