@@ -125,10 +125,6 @@ class Graph:
             return False
         return b in self.adjacency[a]
 
-    def incident_edges(self, v: int) -> list[Edge]:
-        """Edges at v, in lexicographic order of their normalized pairs."""
-        return sorted(Edge.of(v, u) for u in self.adjacency[v])
-
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per-vertex neighbor sets as bitmasks (internal fast path)."""

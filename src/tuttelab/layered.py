@@ -175,10 +175,13 @@ class LevelCertificate:
     f_n: int
     eps_n: Fraction
     chosen_edges: tuple[Edge, ...]
-    no_odd_components: bool
     odd_component_count: int
     tutte: TutteReport
     failed_vertices: tuple[int, ...]
+
+    @property
+    def no_odd_components(self) -> bool:
+        return self.odd_component_count == 0
 
     @property
     def passed(self) -> bool:
@@ -233,7 +236,7 @@ def run_layered_matching(
         for x in sorted(net):
             if x in covered:
                 continue
-            sub = remove_window_vertices(w, covered)
+            sub = remove_vertices(w.graph, covered)
             try:
                 e = least_extendable_edge(sub.graph, bisect_left(sub.original_ids, x))
             except InputError:
@@ -245,17 +248,14 @@ def run_layered_matching(
             matched.append(e)
             covered.update((e.u, e.v))
         current = remove_window_vertices(w, covered).window
-        odd_now = hull_report(current, ()).odd_components
-        tutte = check_tutte_eps_k(current, eps_n, f_n, cert_max_x)
         certificates.append(
             LevelCertificate(
                 level=level_idx,
                 f_n=f_n,
                 eps_n=eps_n,
                 chosen_edges=tuple(chosen),
-                no_odd_components=not odd_now,
-                odd_component_count=len(odd_now),
-                tutte=tutte,
+                odd_component_count=len(hull_report(current, ()).odd_components),
+                tutte=check_tutte_eps_k(current, eps_n, f_n, cert_max_x),
                 failed_vertices=tuple(failed),
             )
         )
@@ -279,9 +279,8 @@ def complete_matching(w: Window, run: RunCertificate) -> MatchingState:
     result covers everything because the layered engine only ever picked
     edges that preserve perfect matchability.
     """
-    leftover = [v for v in range(w.graph.vertex_count) if v not in run.matching.covered]
-    sub = remove_window_vertices(w, set(range(w.graph.vertex_count)) - set(leftover))
-    extra = max_matching(sub.window.graph)
+    sub = remove_vertices(w.graph, run.matching.covered)
+    extra = max_matching(sub.graph)
     pairs = [(a, b) for a, b in run.matching.edges]
     for e in extra.edges:
         pairs.append((sub.original_ids[e.u], sub.original_ids[e.v]))

@@ -66,10 +66,6 @@ class Orientation:
     def head(self, e: Edge) -> int:
         return self._lookup[e]
 
-    def tail(self, e: Edge) -> int:
-        h = self._lookup[e]
-        return e.u if h == e.v else e.v
-
     def __len__(self) -> int:
         return len(self.heads)
 
@@ -108,7 +104,6 @@ class GadgetGraph:
     nodes grouped by owner vertex in ascending (vertex, index) order.
     """
 
-    host: Graph
     stubs: tuple[int, ...]
     graph: Graph
     host_edges: tuple[Edge, ...]
@@ -135,18 +130,18 @@ class GadgetGraph:
         """Host vertex that a copy node projects to."""
         return self.copy_owner[node - self.edge_node_count]
 
-    def edge_of(self, node: int) -> Edge:
-        """Host edge that an edge node projects to."""
-        return self.host_edges[node]
-
 
 def build_gadget(g: Graph, stubs: Sequence[int] | None = None) -> GadgetGraph:
-    """Build the bipartite gadget; degrees (plus stubs) must be even."""
+    """Build the bipartite gadget; stubs must be nonnegative and degrees
+    (plus stubs) even."""
     if stubs is None:
         stubs = (0,) * g.vertex_count
     stubs = tuple(stubs)
     if len(stubs) != g.vertex_count:
         raise InputError("stubs must list one count per host vertex")
+    negative = [v for v, k in enumerate(stubs) if k < 0]
+    if negative:
+        raise InputError(f"negative stub count at vertex {negative[0]}")
     copy_counts = []
     for v in range(g.vertex_count):
         total = g.degree(v) + stubs[v]
@@ -168,7 +163,6 @@ def build_gadget(g: Graph, stubs: Sequence[int] | None = None) -> GadgetGraph:
                 gadget_edges.append((i, base + j))
     gadget = Graph.from_edges(m + len(copy_owner), gadget_edges)
     return GadgetGraph(
-        host=g,
         stubs=stubs,
         graph=gadget,
         host_edges=host_edges,

@@ -32,17 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
     InputError,
     Window,
-    _finite_components,  # not used here; kept importable from this module
     _min_ratios,
     classify_components,
     finite_cuts,
-    iter_subsets,
     mask_is_connected,
     mask_of,
     vertices_of,
@@ -99,7 +96,6 @@ class ExpansionReport:
     delta_witness: tuple[int, ...]
     witness_boundary: int
     max_f: int
-    exhaustive: bool
     checked: int
 
 
@@ -221,21 +217,17 @@ def _connected_sets(masks: Sequence[int], n: int, max_f: int) -> Iterator[int]:
                 stack.append(t)
 
 
-def expansion_constant(
-    w: Window, max_f: int, connected_only: bool = True
-) -> ExpansionReport:
+def expansion_constant(w: Window, max_f: int) -> ExpansionReport:
     """Minimum boundary-to-size ratio over nonempty F with |F| <= max_f.
 
-    With connected_only the enumeration is restricted to connected
-    induced subgraphs, which are grown directly rather than filtered out
-    of all subsets.  That restriction loses nothing: the boundary of a
-    disconnected F is the sum over its connected pieces, so its ratio is
-    at least the smallest piece's ratio (mediant inequality), and the
-    pieces are themselves enumerated.  The flag is surfaced anyway as a
-    speed/completeness tradeoff; ``exhaustive`` records
-    ``connected_only=False`` only, not that max_f reached the vertex
-    count.  Either way the witness is the least minimiser in (size, lex)
-    order.
+    Only connected F are enumerated, grown directly by reverse search.
+    That loses nothing: the boundary of a disconnected F is the sum over
+    its connected pieces, so its ratio is at least the least ratio of a
+    piece (mediant inequality), and every piece is smaller than F.  So a
+    disconnected minimiser has a connected piece that is also one and
+    comes before it in (size, lex) order: the minimum and the witness, the
+    least minimiser in that order, are those of the enumeration of all
+    subsets.  ``checked`` counts the connected sets.
     """
     if max_f < 1:
         raise InputError("max_f must be positive")
@@ -244,10 +236,7 @@ def expansion_constant(
         raise InputError("window has no vertices")
     masks = w.graph.neighbor_masks
     stubs = w.external_stubs
-    if connected_only:
-        sets = map(vertices_of, _connected_sets(masks, n, max_f))
-    else:
-        sets = islice(iter_subsets(range(n), max_f), 1, None)
+    sets = map(vertices_of, _connected_sets(masks, n, max_f))
     checked, [(delta, witness)] = _min_ratios(
         sets, lambda fs: ((_mask_boundary(masks, stubs, mask_of(fs)), len(fs)),), 1
     )
@@ -256,7 +245,6 @@ def expansion_constant(
         delta_witness=witness,
         witness_boundary=int(delta * len(witness)),
         max_f=max_f,
-        exhaustive=not connected_only,
         checked=checked,
     )
 

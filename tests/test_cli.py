@@ -147,6 +147,11 @@ class TestExpansion:
         code, _, err = run_cli(capsys, "expansion", cycle4_file, "--lemma")
         assert code == 2
 
+    def test_all_sets_flag_is_gone(self, cycle4_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["expansion", cycle4_file, "--all-sets"])
+        assert exc.value.code == 2
+
 
 class TestLayered:
     def test_cycle4(self, capsys, cycle4_file):

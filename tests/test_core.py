@@ -34,8 +34,8 @@ from tuttelab import (
     run_layered_matching,
     verify_balanced,
 )
-from tuttelab.core import _min_ratios, mask_of
-from tuttelab.verifier import _mask_boundary, finite_cuts
+from tuttelab.core import _min_ratios, finite_cuts, mask_of
+from tuttelab.verifier import _mask_boundary
 
 
 @st.composite

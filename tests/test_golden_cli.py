@@ -102,16 +102,10 @@ CASES = [
      1, "89882d5c62436723fbda761f1775763f0b6ff68d7b954cdd5fc4b8dc3ddbf24f"),
     (["expansion", "{triangles}", "--lemma", "--degree", "2", "--delta", "1", "--max-x", "1"],
      1, "33b9464b91239b1827ef9e6bbd14cf6f86cf554f0d0bb5ce8ce614e38734b125"),
-    (["expansion", "{cycle12}", "--max-f", "4", "--all-sets"],
-     0, "b5f75fe7f88826adbdf4e6e8df638de43adaa27d39c0bd62237be198f669021e"),
-    (["expansion", "{ball2}", "--max-f", "3", "--all-sets"],
-     0, "467dd7b00eafa71889dfd8ff4bc1f9f7c9f998d68e5a96763526703c55eca594"),
     (["gadget-audit", "{empty3}", "--epsilon", "1/5", "--max-f", "2"],
      0, "4c428ed2d79ac0f22e58a2d2ab8410c84523454f7d0b79c59d9146a5f73a9610"),
     (["gadget-audit", "{grandparent3}", "--epsilon", "1/5", "--max-f", "2"],
      0, "90809dbc12af8a475570f435c2cd5c757a3d028e7f3230a50c5952d431795813"),
-    (["expansion", "{grandparent3}", "--max-f", "3", "--all-sets"],
-     0, "ba9faeeddc3342236ddd0bf00da0b651c40beac22ee61baf5d17ac1bd39f7267"),
     (["expansion", "{twopieces}", "--lemma", "--degree", "3", "--delta", "1", "--max-x", "2"],
      1, "7083457111f7cd23cb04dfc999cf8df099860606dc2d8858720c0753dd70a549"),
     (["verify-tutte", "{ball2}", "--epsilon", "3/4", "--k", "1", "--max-x", "4"],

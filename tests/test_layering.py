@@ -2,6 +2,8 @@
 
 Importing the package loads every module (its ``__init__`` imports them
 all), so the layering is checked on the import statements themselves.
+Every name a module imports must also be read in it, so no import is kept
+for a caller elsewhere or left behind by a deleted path.
 """
 
 import ast
@@ -53,6 +55,40 @@ def test_module_imports_only_lower_layers(module):
 
 def test_layered_does_not_import_cli():
     assert "cli" not in sibling_imports("layered")
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names bound by an import in source and never read in it."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update(
+                alias.asname or alias.name.split(".")[0] for alias in node.names
+            )
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert unused_imports(source) == set()
+
+
+def test_unused_import_reader():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import sys as system\n"
+        "from itertools import islice, chain as link\n"
+        "from .core import Graph, Edge\n"
+        "def f(g: Graph) -> None:\n"
+        "    return os.path.join(link())\n"
+    )
+    assert unused_imports(source) == {"system", "islice", "Edge"}
 
 
 def test_reader_sees_every_form_of_import():

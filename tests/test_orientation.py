@@ -45,6 +45,13 @@ class TestBuildGadget:
         with pytest.raises(InputError):
             build_gadget(fixture("path(2)"))
 
+    @pytest.mark.parametrize("stubs, vertex", [((-2, 0, 0, 0), 0), ((0, -2, 2, -4), 1)])
+    def test_negative_stubs_rejected(self, stubs, vertex):
+        # Even totals, so only the sign check can catch them; the least
+        # offending vertex is named.
+        with pytest.raises(InputError, match=f"^negative stub count at vertex {vertex}$"):
+            build_gadget(fixture("cycle(4)"), stubs)
+
     def test_window_stubs_make_degrees_even(self):
         w = cayley_ball(GroupSpec.free(2), 2)
         gad = build_gadget(w.graph, w.external_stubs)

@@ -23,8 +23,8 @@ from tuttelab import (
     tutte_berge_deficiency,
     verify_expansion_lemma,
 )
-from tuttelab.core import mask_of, vertices_of
-from tuttelab.verifier import _connected_sets, _finite_components, finite_cuts
+from tuttelab.core import _finite_components, finite_cuts, mask_of, vertices_of
+from tuttelab.verifier import _connected_sets
 
 # 3-regular with one frontier vertex (9): a K4 minus the edge 5-6 hangs off
 # 8, and a K4 on {2,3,4,7} is a finite component of the whole graph.
@@ -44,6 +44,27 @@ def is_connected(g, fs):
                 seen.add(u)
                 stack.append(u)
     return len(seen) == len(fs)
+
+
+def brute_force_expansion(g, stubs, max_f):
+    """The all-subsets reference for expansion_constant.
+
+    Least boundary-to-size ratio over every nonempty F with |F| <= max_f,
+    its least witness in (size, lex) order, and how many of those F are
+    connected.
+    """
+    best = witness = None
+    connected = 0
+    for size in range(1, max_f + 1):
+        for fs in itertools.combinations(range(g.vertex_count), size):
+            boundary = sum(
+                stubs[v] + sum(1 for u in g.adjacency[v] if u not in fs) for v in fs
+            )
+            ratio = Fraction(boundary, size)
+            if best is None or ratio < best:
+                best, witness = ratio, fs
+            connected += is_connected(g, fs)
+    return best, witness, connected
 
 
 class CountingMasks(list):
@@ -272,11 +293,11 @@ class TestExpansionConstant:
         rng = random.Random(9)
         for _ in range(20):
             g = random_graph(rng, rng.randint(2, 8), 0.5)
-            w = Window.closed(g)
-            a = expansion_constant(w, 4, connected_only=True)
-            b = expansion_constant(w, 4, connected_only=False)
-            assert a.delta_lower == b.delta_lower
-            assert b.exhaustive and not a.exhaustive
+            rep = expansion_constant(Window.closed(g), 4)
+            best, witness, connected = brute_force_expansion(g, (0,) * g.vertex_count, 4)
+            assert rep.delta_lower == best
+            assert rep.delta_witness == witness
+            assert rep.checked == connected
 
     def test_bad_max_f(self):
         with pytest.raises(InputError):
@@ -297,23 +318,12 @@ class TestExpansionConstant:
             stubs = tuple(rng.randint(0, 3) if v in frontier else 0 for v in range(n))
             w = Window(g, frozenset(range(n)) - frontier, stubs)
             max_f = rng.randint(1, n)
-            for connected_only in (True, False):
-                scored = [
-                    (Fraction(sum(
-                        stubs[v] + sum(1 for u in g.adjacency[v] if u not in fs)
-                        for v in fs
-                    ), size), fs)
-                    for size in range(1, max_f + 1)
-                    for fs in itertools.combinations(range(n), size)
-                    if not connected_only or is_connected(g, fs)
-                ]
-                best = min(ratio for ratio, _ in scored)
-                first = next(fs for ratio, fs in scored if ratio == best)
-                rep = expansion_constant(w, max_f, connected_only=connected_only)
-                assert rep.delta_lower == best
-                assert rep.delta_witness == first
-                assert rep.witness_boundary == best * len(first)
-                assert rep.checked == len(scored)
+            best, witness, connected = brute_force_expansion(g, stubs, max_f)
+            rep = expansion_constant(w, max_f)
+            assert rep.delta_lower == best
+            assert rep.delta_witness == witness
+            assert rep.witness_boundary == best * len(witness)
+            assert rep.checked == connected
 
 
 class TestEpsilonFromDelta:
