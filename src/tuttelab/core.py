@@ -215,11 +215,11 @@ def remove_vertices(g: Graph, removed: Iterable[int]) -> Subgraph:
     """Induced subgraph on V(g) minus ``removed``, as a closed window."""
     removed = g.vertex_set(removed)
     keep = [v for v in range(g.vertex_count) if v not in removed]
-    new_id = {v: i for i, v in enumerate(keep)}
-    adjacency = tuple(
-        tuple(new_id[u] for u in g.adjacency[v] if u not in removed)
+    new_id = dict(zip(keep, range(len(keep))))
+    adjacency = tuple([
+        tuple([new_id[u] for u in g.adjacency[v] if u not in removed])
         for v in keep
-    )
+    ])
     return Subgraph(Window.closed(Graph(len(keep), adjacency)), tuple(keep))
 
 

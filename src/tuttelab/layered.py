@@ -19,9 +19,9 @@ directly.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import Edge, Graph, InputError, Window, distance
 from .core import remove_vertices, remove_window_vertices
@@ -34,40 +34,36 @@ class Schedule:
     """Budget for the layered construction.
 
     Invariants (all exact, validated on construction):
-      * sum over levels of 4/f(n) stays below epsilon;
-      * eps_n = epsilon - sum_{m<=n} 4/f(m), all positive;
-      * eps_{n-1} * f(n) > 4 with eps_{-1} = epsilon;
-      * f strictly increasing.
+      * f strictly increasing and positive;
+      * eps_n = epsilon - sum_{m<=n} 4/f(m), all positive.
+    As eps_n = eps_{n-1} - 4/f(n), that is eps_{n-1} * f(n) > 4 at every
+    level (eps_{-1} = epsilon), and the sum over levels of 4/f(n) stays
+    below epsilon.
     """
 
     epsilon: Fraction
     levels: tuple[int, ...]
-    eps: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise InputError("epsilon must be positive")
         if not self.levels:
             raise InputError("schedule needs at least one level")
-        if len(self.eps) != len(self.levels):
-            raise InputError("eps must align with levels")
-        prev_f = 0
-        total = Fraction(0)
-        prev_eps = self.epsilon
-        for f_n, eps_n in zip(self.levels, self.eps):
-            if f_n <= prev_f:
-                raise InputError("f must be strictly increasing and positive")
-            total += Fraction(4, f_n)
-            if eps_n != self.epsilon - total:
-                raise InputError("eps_n must equal epsilon - sum of 4/f(m)")
-            if eps_n <= 0:
-                raise InputError("all eps_n must stay positive")
-            if prev_eps * f_n <= 4:
-                raise InputError("need eps_{n-1} * f(n) > 4 at every level")
-            prev_eps = eps_n
-            prev_f = f_n
-        if total >= self.epsilon:
-            raise InputError("sum of 4/f(n) must stay below epsilon")
+        if any(f_n <= prev for prev, f_n in zip((0, *self.levels), self.levels)):
+            raise InputError("f must be strictly increasing and positive")
+        # eps_n falls with n, so the last one is the least.
+        if self.eps[-1] <= 0:
+            raise InputError("all eps_n must stay positive")
+
+    @cached_property
+    def eps(self) -> tuple[Fraction, ...]:
+        """The residues eps_n = epsilon - sum_{m<=n} 4/f(m), one per level."""
+        eps = []
+        rest = self.epsilon
+        for f_n in self.levels:
+            rest -= Fraction(4, f_n)
+            eps.append(rest)
+        return tuple(eps)
 
     @property
     def level_count(self) -> int:
@@ -89,13 +85,7 @@ def build_schedule(epsilon: Fraction | int | str, level_count: int) -> Schedule:
     c = 1
     while c * epsilon <= 8:
         c *= 2
-    levels = tuple(c * (1 << n) for n in range(level_count))
-    eps = []
-    total = Fraction(0)
-    for f_n in levels:
-        total += Fraction(4, f_n)
-        eps.append(epsilon - total)
-    return Schedule(epsilon, levels, tuple(eps))
+    return Schedule(epsilon, tuple(c * (1 << n) for n in range(level_count)))
 
 
 @dataclass(frozen=True)
@@ -150,23 +140,29 @@ def build_nets(w: Window, schedule: Schedule) -> NetLevels:
     return NetLevels(tuple(levels), tuple(remaining))
 
 
-def least_extendable_edge(g: Graph, x: int) -> Edge:
-    """Least edge at x contained in some perfect matching of g.
+def _least_allowed(g: Graph, removed: set[int], x: int) -> int | None:
+    """Least neighbour u of x with x-u allowed in H = g - removed, else None.
 
-    Requires g to admit a perfect matching M.  The edge from x to its
-    partner in M is allowed, so only the smaller neighbors u need a test:
-    x-u is allowed exactly when g - x - u is perfectly matchable.
+    x-u lies in a perfect matching of H iff H - x - u has one (add x-u),
+    so None means that H has no perfect matching.
     """
+    for u in g.adjacency[x]:
+        if u not in removed and has_perfect_matching(
+            remove_vertices(g, removed | {x, u}).graph
+        ):
+            return u
+    return None
+
+
+def least_extendable_edge(g: Graph, x: int) -> Edge:
+    """Least edge at x contained in some perfect matching of g."""
     g.vertex_set((x,))
     if not g.adjacency[x]:
         raise InputError(f"vertex {x} is isolated")
-    m = max_matching(g)
-    if 2 * m.size != g.vertex_count:
+    u = _least_allowed(g, set(), x)
+    if u is None:
         raise InputError("graph has no perfect matching")
-    partner = next(e.v if e.u == x else e.u for e in m.edges if x in e)
-    for u in g.adjacency[x]:
-        if u == partner or has_perfect_matching(remove_vertices(g, {x, u}).graph):
-            return Edge.of(x, u)
+    return Edge.of(x, u)
 
 
 @dataclass(frozen=True)
@@ -197,11 +193,14 @@ class RunCertificate:
     levels: tuple[LevelCertificate, ...]
     matching: MatchingState
     coverage: Fraction
-    aborted: bool
+
+    @property
+    def aborted(self) -> bool:
+        return any(c.failed_vertices for c in self.levels)
 
     @property
     def passed(self) -> bool:
-        return not self.aborted and all(c.passed for c in self.levels)
+        return all(c.passed for c in self.levels)
 
 
 def run_layered_matching(
@@ -226,7 +225,6 @@ def run_layered_matching(
     matched: list[Edge] = []
     covered: set[int] = set()
     certificates: list[LevelCertificate] = []
-    aborted = False
 
     for level_idx, (f_n, eps_n, net) in enumerate(
         zip(schedule.levels, schedule.eps, nets.levels)
@@ -236,17 +234,14 @@ def run_layered_matching(
         for x in sorted(net):
             if x in covered:
                 continue
-            sub = remove_vertices(w.graph, covered)
-            try:
-                e = least_extendable_edge(sub.graph, bisect_left(sub.original_ids, x))
-            except InputError:
+            u = _least_allowed(w.graph, covered, x)
+            if u is None:
                 failed.append(x)
-                aborted = True
                 break
-            e = Edge.of(sub.original_ids[e.u], sub.original_ids[e.v])
+            e = Edge.of(x, u)
             chosen.append(e)
             matched.append(e)
-            covered.update((e.u, e.v))
+            covered.update((x, u))
         current = remove_window_vertices(w, covered).window
         certificates.append(
             LevelCertificate(
@@ -259,7 +254,7 @@ def run_layered_matching(
                 failed_vertices=tuple(failed),
             )
         )
-        if aborted:
+        if failed:
             break
 
     matching = MatchingState.from_pairs(matched, w.graph)
@@ -268,7 +263,7 @@ def run_layered_matching(
         coverage = Fraction(len(covered & w.interior), interior_count)
     else:
         coverage = Fraction(1)
-    return RunCertificate(tuple(certificates), matching, coverage, aborted)
+    return RunCertificate(tuple(certificates), matching, coverage)
 
 
 def complete_matching(w: Window, run: RunCertificate) -> MatchingState:

@@ -200,14 +200,11 @@ def has_perfect_matching(g: Graph) -> bool:
 
 
 def is_allowed_edge(g: Graph, e: Edge) -> bool:
-    """True when e lies in at least one perfect matching of g."""
+    """True when e = uv lies in a perfect matching of g: when g - u - v has one."""
     e = Edge.of(e[0], e[1])
     if not g.has_edge(e.u, e.v):
         raise InputError(f"edge {e} not in graph")
-    if not has_perfect_matching(g):
-        return False
-    rest = remove_vertices(g, {e.u, e.v}).graph
-    return has_perfect_matching(rest)
+    return has_perfect_matching(remove_vertices(g, e).graph)
 
 
 def bipartite_max_matching(g: Graph, side: Iterable[int]) -> MatchingState:

@@ -183,10 +183,15 @@ def orientation_from_matching(gadget: GadgetGraph, m: MatchingState) -> Orientat
         partner[e.u] = e.v
         partner[e.v] = e.u
     direction: dict[Edge, int] = {}
+    copies = gadget.copy_nodes
     for i, host_edge in enumerate(gadget.host_edges):
         mate = partner.get(i)
         if mate is None:
             raise InputError(f"edge node for {host_edge} is unmatched")
+        if mate not in copies:
+            raise InputError(
+                f"edge node for {host_edge} is matched to node {mate}, not a copy"
+            )
         direction[host_edge] = gadget.owner_of(mate)
     return Orientation.from_dict(direction)
 

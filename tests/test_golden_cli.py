@@ -2,13 +2,13 @@
 
 The criterion-8 invocations plus cases whose output exercises rarely
 printed lines: ``tutte`` and ``quantitative`` violations, the lemma's
-``kind=boundary`` lines with their running ``count``, the all-subsets
-expansion estimate, the gadget audit with no subsets to check and with
-the vertex side's stub credit, lemma components listed by least vertex when
-a search from N(X) would meet them in another order, finite odd components
-cut off by |X| = 4 on the open ball, and the (size, lex) least of many tied
-expansion minimisers.  Any change to verdicts, witnesses, counts or
-formatting shows up here as a changed digest.
+``kind=boundary`` lines with their running ``count``, the gadget audit
+with no subsets to check and with the vertex side's stub credit, lemma
+components listed by least vertex when a search from N(X) would meet them
+in another order, finite odd components cut off by |X| = 4 on the open
+ball, and the (size, lex) least of many tied expansion minimisers.  Any
+change to verdicts, witnesses, counts or formatting shows up here as a
+changed digest.
 """
 
 import hashlib

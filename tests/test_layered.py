@@ -18,6 +18,7 @@ from tuttelab import (
     distance,
     fixture,
     has_perfect_matching,
+    layered,
     least_extendable_edge,
     net_separation_ok,
     remove_vertices,
@@ -44,13 +45,14 @@ class TestSchedule:
         with pytest.raises(InputError):
             build_schedule(0, 2)
 
-    def test_validation_rejects_bad_eps(self):
-        with pytest.raises(InputError):
-            Schedule(Fraction(1, 2), (32, 64), (Fraction(3, 8), Fraction(1, 3)))
-
     def test_validation_rejects_nonincreasing_f(self):
         with pytest.raises(InputError):
-            Schedule(Fraction(1, 2), (32, 32), (Fraction(3, 8), Fraction(1, 4)))
+            Schedule(Fraction(1, 2), (32, 32))
+
+    def test_validation_rejects_spent_budget(self):
+        # eps_0 = 1/2 - 4/12 = 1/6 but eps_1 = 1/6 - 4/16 < 0.
+        with pytest.raises(InputError, match="eps_n must stay positive"):
+            Schedule(Fraction(1, 2), (12, 16))
 
     @given(
         st.fractions(min_value=Fraction(1, 1000), max_value=1),
@@ -75,12 +77,7 @@ class TestSchedule:
 
 def hand_schedule(epsilon, fs):
     """Schedule with explicit f values (for small test graphs)."""
-    eps = []
-    total = Fraction(0)
-    for f in fs:
-        total += Fraction(4, f)
-        eps.append(Fraction(epsilon) - total)
-    return Schedule(Fraction(epsilon), tuple(fs), tuple(eps))
+    return Schedule(Fraction(epsilon), tuple(fs))
 
 
 class TestNets:
@@ -250,3 +247,80 @@ class TestRunLayeredMatching:
             rest = remove_vertices(w.graph, removed).graph
             assert has_perfect_matching(rest)
         assert removed == set(run.matching.covered)
+
+
+def brute_least_allowed(g, covered, x):
+    """Least edge x-u of g - covered in some perfect matching of it, by DP."""
+    left = g.vertex_count - len(covered)
+    for u in g.adjacency[x]:
+        if u in covered:
+            continue
+        rest = remove_vertices(g, covered | {x, u}).graph
+        if 2 * (brute_matching_size(rest) + 1) == left:
+            return Edge.of(x, u)
+    return None
+
+
+def replay(w, nets, run):
+    """Check every choice of the run against brute force; True if it aborted."""
+    covered: set[int] = set()
+    for net, cert in zip(nets.levels, run.levels):
+        chosen = iter(cert.chosen_edges)
+        for x in sorted(net):
+            if x in covered:
+                continue
+            expected = brute_least_allowed(w.graph, covered, x)
+            if expected is None:
+                assert cert.failed_vertices == (x,)
+                assert next(chosen, None) is None
+                assert cert is run.levels[-1] and run.aborted and not run.passed
+                return True
+            assert next(chosen) == expected
+            covered.update(expected)
+        assert next(chosen, None) is None
+        assert not cert.failed_vertices
+    assert len(run.levels) == len(nets.levels)
+    assert not run.aborted
+    assert run.matching.covered == covered
+    return False
+
+
+class TestLayeredChoicesMatchBruteForce:
+    SCHEDULE = hand_schedule(9, (1, 2, 3))
+
+    def test_pendant_completions(self):
+        rng = random.Random(97)
+        for _ in range(30):
+            g = pendant_completion(random_graph(rng, rng.randint(1, 8), 0.4))
+            w = Window.closed(g)
+            nets = build_nets(w, self.SCHEDULE)
+            run = run_layered_matching(w, self.SCHEDULE, nets, 2)
+            assert not replay(w, nets, run)
+
+    def test_open_windows(self):
+        rng = random.Random(98)
+        outcomes = set()
+        for _ in range(60):
+            n = rng.randint(2, 10)
+            g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5]))
+            # The last vertex is always on the frontier, so the window is open.
+            interior = frozenset(v for v in range(n - 1) if rng.random() < 0.7)
+            stubs = tuple(0 if v in interior else rng.randint(0, 2) for v in range(n))
+            w = Window(g, interior, stubs)
+            nets = build_nets(w, self.SCHEDULE)
+            run = run_layered_matching(w, self.SCHEDULE, nets, 2)
+            outcomes.add(replay(w, nets, run))
+        assert outcomes == {True, False}
+
+    def test_oracle_error_is_not_a_failed_vertex(self, monkeypatch):
+        # Only a missing perfect matching marks a net vertex failed; an
+        # error raised inside the matching oracle reaches the caller.
+        def broken(g):
+            raise InputError("oracle failure")
+
+        for name in ("has_perfect_matching", "max_matching"):
+            monkeypatch.setattr(layered, name, broken)
+        w = Window(fixture("path(4)"), frozenset({0, 1}), (0, 0, 1, 1))
+        nets = build_nets(w, self.SCHEDULE)
+        with pytest.raises(InputError, match="oracle failure"):
+            run_layered_matching(w, self.SCHEDULE, nets, 2)

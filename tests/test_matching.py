@@ -228,6 +228,25 @@ class TestAllowedEdge:
                 assert 2 * (m.size + 1) == g.vertex_count
                 break
 
+    def test_matches_brute_force_both_ways(self):
+        # e = uv is allowed exactly when g - u - v has a perfect matching,
+        # counted by the DP; odd orders and unmatchable even graphs allow
+        # no edge at all.
+        rng = random.Random(61)
+        seen = set()
+        for _ in range(80):
+            n = rng.randint(2, 9)
+            g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5]))
+            perfect = 2 * brute_matching_size(g) == n
+            for e in g.edges():
+                rest = remove_vertices(g, e).graph
+                allowed = 2 * (brute_matching_size(rest) + 1) == n
+                assert is_allowed_edge(g, e) == allowed
+                assert perfect or not allowed
+                seen.add((n % 2, perfect, allowed))
+        assert {(1, False, False), (0, False, False)} <= seen
+        assert {(0, True, True), (0, True, False)} <= seen
+
 
 class TestBipartite:
     def test_complete_bipartite(self):

@@ -109,6 +109,14 @@ class TestOrientationFromMatching:
         with pytest.raises(InputError):
             orientation_from_matching(gad, partial)
 
+    def test_edge_node_matched_to_edge_node_rejected(self):
+        # Perfect in size, but edge nodes 0 and 1 are paired with each
+        # other, so node 1 has no owner to direct edge 0 toward.
+        gad = build_gadget(fixture("cycle(4)"))
+        m = MatchingState.from_pairs([(0, 1), (2, 5), (3, 6), (4, 7)])
+        with pytest.raises(InputError, match="not a copy"):
+            orientation_from_matching(gad, m)
+
 
 class TestBalancedOrientation:
     def test_cycle4_is_directed_cycle(self):
