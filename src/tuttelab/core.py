@@ -11,7 +11,8 @@ genuinely finite and which would continue past the cut.
 
 Each graph question is answered here once: vertex ids by
 :meth:`Graph.vertex_set`, and every enumeration by the bitmask kernels
-:func:`finite_cuts` (over X) and :func:`_min_ratios` (over F).
+:func:`finite_cuts` (over X), :func:`_connected_sets` (connected F) and
+:func:`_min_ratios` (the least ratio over F).
 """
 
 from __future__ import annotations
@@ -427,6 +428,42 @@ def finite_cuts(
             nbrs |= masks[v]
         avail = full & ~xmask
         yield xs, xmask, _finite_components(masks, avail, nbrs, frontier_mask)
+
+
+def _connected_sets(masks: Sequence[int], pool: int, max_f: int) -> Iterator[int]:
+    """Each set of size 1..max_f that is connected inside pool, once, as a mask.
+
+    Reverse search (Avis and Fukuda, 1996): the parent of a connected T
+    with |T| >= 2 is T minus its largest vertex u for which T - u is still
+    connected, and the sets are walked depth-first down that tree from the
+    singletons.  S + v, for v in N(S) minus S, is a child of S exactly when
+    no vertex of S above v can be removed from it without disconnecting it.
+    """
+    stack = [1 << v for v in reversed(vertices_of(pool))]
+    while stack:
+        s = stack.pop()
+        yield s
+        if s.bit_count() == max_f:
+            continue
+        grow = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            grow |= masks[low.bit_length() - 1]
+        grow &= pool & ~s
+        while grow:
+            v = grow & -grow
+            grow ^= v
+            t = s | v
+            above = s & ~(v - 1)
+            while above:
+                u = above & -above
+                if mask_is_connected(masks, t ^ u):
+                    break
+                above ^= u
+            else:
+                stack.append(t)
 
 
 def _min_ratios(

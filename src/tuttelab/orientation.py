@@ -309,6 +309,10 @@ def check_gadget_hall_expansion(
     boundary edges enter the neighborhood count).  Edge-type F earns no
     credit: stub halves already entered the copy counts when the gadget
     was built.  Minima are reported both with and without the credit.
+
+    The credited verdict holds only up to max_f: on the free(2) radius-2
+    ball the vertex-side credited minimum is 5/4 at max_f 4-5, 7/6 at 6-7
+    and 17/16 at 8-10.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:

@@ -23,20 +23,21 @@ This module holds the inequalities, the reports and the expansion
 estimate; the graph questions behind them are answered in
 :mod:`tuttelab.core`.  X runs through core's ``finite_cuts`` (as in the
 Tutte-Berge oracle), and :func:`hull_report` reads one X's components from
-``classify_components``.  The expansion estimate grows connected sets by
-reverse search and, like the gadget Hall audit, takes its minimum ratio
-and witness from core's minimum-ratio kernel.
+``classify_components``.  The expansion estimate walks connected sets with
+core's reverse search and, like the gadget Hall audit, takes its minimum
+ratio and witness from core's minimum-ratio kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     InputError,
     Window,
+    _connected_sets,
     _min_ratios,
     classify_components,
     finite_cuts,
@@ -181,42 +182,6 @@ def edge_boundary(w: Window, f: Iterable[int]) -> int:
     return _mask_boundary(w.graph.neighbor_masks, w.external_stubs, mask_of(fset))
 
 
-def _connected_sets(masks: Sequence[int], n: int, max_f: int) -> Iterator[int]:
-    """Each connected vertex set of size 1..max_f exactly once, as a mask.
-
-    Reverse search (Avis and Fukuda, 1996): the parent of a connected T
-    with |T| >= 2 is T minus its largest vertex u for which T - u is still
-    connected, and the sets are walked depth-first down that tree from the
-    singletons.  S + v, for v in N(S) minus S, is a child of S exactly when
-    no vertex of S above v can be removed from it without disconnecting it.
-    """
-    stack = [1 << v for v in range(n - 1, -1, -1)]
-    while stack:
-        s = stack.pop()
-        yield s
-        if s.bit_count() == max_f:
-            continue
-        grow = 0
-        rest = s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            grow |= masks[low.bit_length() - 1]
-        grow &= ~s
-        while grow:
-            v = grow & -grow
-            grow ^= v
-            t = s | v
-            above = s & ~(v - 1)
-            while above:
-                u = above & -above
-                if mask_is_connected(masks, t ^ u):
-                    break
-                above ^= u
-            else:
-                stack.append(t)
-
-
 def expansion_constant(w: Window, max_f: int) -> ExpansionReport:
     """Minimum boundary-to-size ratio over nonempty F with |F| <= max_f.
 
@@ -231,12 +196,11 @@ def expansion_constant(w: Window, max_f: int) -> ExpansionReport:
     """
     if max_f < 1:
         raise InputError("max_f must be positive")
-    n = w.graph.vertex_count
-    if n == 0:
+    if w.graph.vertex_count == 0:
         raise InputError("window has no vertices")
     masks = w.graph.neighbor_masks
     stubs = w.external_stubs
-    sets = map(vertices_of, _connected_sets(masks, n, max_f))
+    sets = map(vertices_of, _connected_sets(masks, w.graph.full_mask, max_f))
     checked, [(delta, witness)] = _min_ratios(
         sets, lambda fs: ((_mask_boundary(masks, stubs, mask_of(fs)), len(fs)),), 1
     )

@@ -3,7 +3,9 @@
 The criterion-8 invocations plus cases whose output exercises rarely
 printed lines: ``tutte`` and ``quantitative`` violations, the lemma's
 ``kind=boundary`` lines with their running ``count``, the gadget audit
-with no subsets to check and with the vertex side's stub credit, lemma
+with no subsets to check, with the vertex side's stub credit and with a
+credited witness made of two copies that share only their owner, the
+ball's credited verdict passing at ``--max-f 5`` and failing at 6, lemma
 components listed by least vertex when a search from N(X) would meet them
 in another order, finite odd components cut off by |X| = 4 on the open
 ball, and the (size, lex) least of many tied expansion minimisers.  Any
@@ -46,6 +48,9 @@ INPUTS = {
                               (6, 8), (8, 9), (2, 3), (2, 4), (2, 7), (3, 4),
                               (3, 7), (4, 7)]),
         frozenset(range(9)), (0,) * 9 + (2,))),
+    # A triangle and an edgeless frontier vertex with 4 stubs, whose two
+    # copy nodes share no gadget neighbor.
+    "isolated": lambda: "4 3\n0 1\n0 2\n1 2\n# interior: 0 1 2\n# stubs: 3 4\n",
 }
 
 # (argv with input names in braces, exit code, sha256 of stdout)
@@ -112,6 +117,12 @@ CASES = [
      1, "06435e68335cd28b2c1f19ecc8b7cf75a9e4dfca6026771c7806e8ede291b83b"),
     (["expansion", "{cycle8}", "--max-f", "4"],
      0, "6f67417629761c176033bbeca6f762f3a97fca117108a8d1f775def9e5aa5b4f"),
+    (["gadget-audit", "{ball2}", "--epsilon", "1/5", "--max-f", "5"],
+     0, "eea47cc63b1d276e9a2136e8d205a068fec46b7eb11da7b8dfef0559b9b3567d"),
+    (["gadget-audit", "{ball2}", "--epsilon", "1/5", "--max-f", "6"],
+     1, "efe9b9893579b1b93705439cd83c2b346890c3ab4c12d6ec841208a6d791fedf"),
+    (["gadget-audit", "{isolated}", "--epsilon", "1/5", "--max-f", "3"],
+     1, "d49fcbc667a4d28709f597c5531240083025e448b818991f62e1941f65afc368"),
 ]
 
 

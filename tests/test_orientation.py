@@ -269,14 +269,28 @@ class TestHallAudit:
 
     def test_matches_brute_force_minima_with_stubs(self):
         rng = random.Random(47)
+        cases = []
         for _ in range(30):
             n = rng.randint(1, 6)
             g = Graph.from_edges(n, [
                 (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
             ])
             stubs = [g.degree(v) % 2 + 2 * rng.randint(0, 1) for v in range(n)]
+            cases.append((g, stubs, rng.randint(1, 3)))
+        # Larger bounds, and edgeless vertices with 4 stubs: two copy nodes
+        # with no gadget neighbor, whose pair has the least credited ratio.
+        for _ in range(30):
+            n = rng.randint(1, 7)
+            g = Graph.from_edges(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3
+            ])
+            stubs = [
+                g.degree(v) % 2 + 2 * rng.randint(0, 1) if g.degree(v) else 4
+                for v in range(n)
+            ]
+            cases.append((g, stubs, rng.randint(1, 5)))
+        for g, stubs, max_f in cases:
             gad = build_gadget(g, stubs)
-            max_f = rng.randint(1, 3)
             rep = check_gadget_hall_expansion(gad, 0, max_f)
             for side, nodes in ((rep.edge_side, gad.edge_nodes),
                                 (rep.vertex_side, gad.copy_nodes)):

@@ -23,8 +23,13 @@ from tuttelab import (
     tutte_berge_deficiency,
     verify_expansion_lemma,
 )
-from tuttelab.core import _finite_components, finite_cuts, mask_of, vertices_of
-from tuttelab.verifier import _connected_sets
+from tuttelab.core import (
+    _connected_sets,
+    _finite_components,
+    finite_cuts,
+    mask_of,
+    vertices_of,
+)
 
 # 3-regular with one frontier vertex (9): a K4 minus the edge 5-6 hangs off
 # 8, and a K4 on {2,3,4,7} is a finite component of the whole graph.
@@ -186,15 +191,17 @@ class TestConnectedSets:
     def test_each_connected_set_exactly_once(self, g, data):
         n = g.vertex_count
         max_f = data.draw(st.integers(1, n))
-        got = list(_connected_sets(g.neighbor_masks, n, max_f))
-        expected = {
-            mask_of(fs)
-            for size in range(1, max_f + 1)
-            for fs in itertools.combinations(range(n), size)
-            if is_connected(g, fs)
-        }
-        assert len(got) == len(set(got))
-        assert set(got) == expected
+        # The whole vertex set, and a random proper subset as the pool.
+        for pool in (g.full_mask, data.draw(st.integers(0, g.full_mask - 1))):
+            got = list(_connected_sets(g.neighbor_masks, pool, max_f))
+            expected = {
+                mask_of(fs)
+                for size in range(1, max_f + 1)
+                for fs in itertools.combinations(vertices_of(pool), size)
+                if is_connected(g, fs)
+            }
+            assert len(got) == len(set(got))
+            assert set(got) == expected
 
 
 class TestCheckTutte:
