@@ -10,7 +10,9 @@ Both scan vertices and sorted adjacency lists in canonical order, so
 results are reproducible run to run.  The Tutte-Berge deficiency is an
 exhaustive, enumeration-based cross-oracle: it never consults the
 augmenting-path machinery.  Its X-enumeration is core's ``finite_cuts``;
-this module imports only core, so the verifier may import the oracles.
+this module imports only core, so the verifier may import the oracles:
+its Tutte check asks :func:`has_perfect_matching` for a certificate when
+k exceeds the window.
 """
 
 from __future__ import annotations

@@ -5,7 +5,10 @@ never floats, so pass/fail verdicts cannot be poisoned by rounding.
 Enumerations run over all candidate sets up to a stated size bound, in
 (size, lexicographic) order, which makes reports and witnesses
 deterministic.  A verdict is therefore always "pass up to max_x" - the
-report carries its own bound.
+report carries its own bound.  The one exception is a Tutte check whose k
+exceeds the window: a perfect matching certifies it (see
+:func:`check_tutte_eps_k`), and the report is the one the enumeration
+would give.
 
 The central check: a graph (window) satisfies the quantitative Tutte
 condition at (epsilon, k) when (i) no vertex set X leaves more than |X|
@@ -21,7 +24,8 @@ as infinite.
 
 This module holds the inequalities, the reports and the expansion
 estimate; the graph questions behind them are answered in
-:mod:`tuttelab.core`.  X runs through core's ``finite_cuts`` (as in the
+:mod:`tuttelab.core`, and the certificate's perfect matching in
+:mod:`tuttelab.matching`.  X runs through core's ``finite_cuts`` (as in the
 Tutte-Berge oracle), and :func:`hull_report` reads one X's components from
 ``classify_components``.  The expansion estimate walks connected sets with
 core's reverse search and, like the gadget Hall audit, takes its minimum
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence
 
 from .core import (
@@ -45,6 +50,7 @@ from .core import (
     mask_of,
     vertices_of,
 )
+from .matching import has_perfect_matching
 
 
 @dataclass(frozen=True)
@@ -125,12 +131,21 @@ def hull_report(w: Window, x: Iterable[int]) -> HullReport:
 def check_tutte_eps_k(
     w: Window, epsilon: Fraction | int, k: int, max_x: int
 ) -> TutteReport:
-    """Exhaustively check the quantitative Tutte condition up to |X| <= max_x.
+    """Check the quantitative Tutte condition for every X with |X| <= max_x.
 
     Condition (i) is checked for every enumerated X; condition (ii) only
     where it applies, i.e. when the odd hull is connected and has size at
     least k.  The empty set is enumerated (it is how an odd component of
     the graph itself is caught).
+
+    When k exceeds the vertex count n and the graph has a perfect matching,
+    the check is certified instead of enumerated.  No hull can reach k
+    vertices, so (ii) never applies; and by Tutte's theorem no X leaves
+    more than |X| odd components of G - X, of which the odd finite
+    components are a subset, so (i) holds too.  The report is then the one
+    the enumeration would give: no violations, and ``candidates`` is its
+    count of X, the sum of C(n, i) over i <= min(max_x, n).  Any k <= n is
+    enumerated without consulting the matching.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
@@ -139,6 +154,10 @@ def check_tutte_eps_k(
         raise InputError("k must be positive")
     if max_x < 1:
         raise InputError("max_x must be positive")
+    n = w.graph.vertex_count
+    if k > n and has_perfect_matching(w.graph):
+        candidates = sum(comb(n, i) for i in range(min(max_x, n) + 1))
+        return TutteReport(epsilon, k, max_x, candidates, ())
     masks = w.graph.neighbor_masks
     violations: list[Violation] = []
     candidates = 0

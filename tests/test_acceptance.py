@@ -159,8 +159,10 @@ def test_criterion_5_layered_construction():
     # quantifies over hulls bigger than the graph, which is the correct
     # finite reading: cycles and trees are amenable, so any k below the
     # window size admits genuine quantitative violations; the certificates
-    # still verify Tutte's condition (up to cert_max_x = 4), odd-component
-    # freeness, net coverage, and extension to a perfect matching.
+    # still verify Tutte's condition (with k = f(n) above the window size,
+    # by the perfect matching the engine keeps rather than by enumerating
+    # X up to cert_max_x = 4), odd-component freeness, net coverage, and
+    # extension to a perfect matching.
     epsilon = Fraction(1, 8)
     failures = 0
     cases = 0

@@ -8,7 +8,9 @@ credited witness made of two copies that share only their owner, the
 ball's credited verdict passing at ``--max-f 5`` and failing at 6, lemma
 components listed by least vertex when a search from N(X) would meet them
 in another order, finite odd components cut off by |X| = 4 on the open
-ball, and the (size, lex) least of many tied expansion minimisers.  Any
+ball, the (size, lex) least of many tied expansion minimisers, and Tutte
+checks with k above the vertex count: certified by a perfect matching on
+a closed and an open window, enumerated on a star that has none.  Any
 change to verdicts, witnesses, counts or formatting shows up here as a
 changed digest.
 """
@@ -123,6 +125,12 @@ CASES = [
      1, "efe9b9893579b1b93705439cd83c2b346890c3ab4c12d6ec841208a6d791fedf"),
     (["gadget-audit", "{isolated}", "--epsilon", "1/5", "--max-f", "3"],
      1, "d49fcbc667a4d28709f597c5531240083025e448b818991f62e1941f65afc368"),
+    (["verify-tutte", "{cycle12}", "--epsilon", "1/2", "--k", "13", "--max-x", "3"],
+     0, "0398d97bc4c20626901658e29bc98b974674d317e3570062babb42115ecad0d1"),
+    (["verify-tutte", "{star5}", "--epsilon", "1/3", "--k", "7", "--max-x", "2"],
+     1, "d68bad74d796c707b3294a2fb7760c250d6f6d959b0467738ab5db94ea9db146"),
+    (["verify-tutte", "{twopieces}", "--epsilon", "1/2", "--k", "11", "--max-x", "3"],
+     0, "cc57e17e2b7947d489c3a39bed9770fc24daf9bda612bea9d62bfb902cf2f332"),
 ]
 
 

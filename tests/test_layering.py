@@ -43,7 +43,7 @@ ALLOWED = {
     "core": set(),
     "generators": {"core"},
     "matching": {"core"},
-    "verifier": {"core"},
+    "verifier": {"core", "matching"},
     "orientation": {"core", "matching"},
 }
 

@@ -1,11 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import random_graph
+from helpers import pendant_completion, random_graph, windows
 from tuttelab import (
     Graph,
     GroupSpec,
@@ -240,6 +241,39 @@ class TestCheckTutte:
         rep = check_tutte_eps_k(w, 0, 1, n)
         assert rep.passed == (tutte_berge_deficiency(g, n).deficiency == 0)
         assert rep.passed == has_perfect_matching(g)
+
+    @given(windows(max_n=6), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_certificate_equals_enumeration(self, w, complete, data):
+        # With k > n a perfect matching certifies the check; patching the
+        # oracle to answer False forces the enumeration on the same call.
+        if complete:
+            g = pendant_completion(w.graph)
+            leaves = range(w.graph.vertex_count, g.vertex_count)
+            w = Window(g, w.interior | frozenset(leaves),
+                       w.external_stubs + (0,) * len(leaves))
+        n = w.graph.vertex_count
+        eps = data.draw(st.sampled_from([Fraction(e) for e in ("0", "1/8", "1", "3/2")]))
+        k = data.draw(st.sampled_from([k for k in (n - 1, n, n + 1, n + 2) if k >= 1]))
+        max_x = data.draw(st.integers(1, n + 1))
+        report = check_tutte_eps_k(w, eps, k, max_x)
+        with patch("tuttelab.verifier.has_perfect_matching", return_value=False):
+            assert check_tutte_eps_k(w, eps, k, max_x) == report
+
+    @given(windows(max_n=7), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_no_matching_call_when_k_fits_the_window(self, w, data):
+        # The cross-checks against has_perfect_matching (criterion 2, the
+        # deficiency test above, closed-corpus) all use k <= n, where the
+        # check must stay an enumeration independent of the matching.
+        n = w.graph.vertex_count
+        assume(n >= 1)
+        eps = Fraction(data.draw(st.integers(0, 12)), 8)
+        k = data.draw(st.integers(1, n))
+        max_x = data.draw(st.integers(1, n))
+        with patch("tuttelab.verifier.has_perfect_matching",
+                   side_effect=AssertionError("matching consulted")):
+            check_tutte_eps_k(w, eps, k, max_x)
 
     @given(graphs(min_n=1, max_n=7), st.data())
     @settings(max_examples=40, deadline=None)
