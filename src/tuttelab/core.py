@@ -11,13 +11,16 @@ genuinely finite and which would continue past the cut.
 
 Each graph question is answered here once: vertex ids by
 :meth:`Graph.vertex_set`, and every enumeration by the bitmask kernels
-:func:`finite_cuts` (over X), :func:`_connected_sets` (connected F) and
-:func:`_min_ratios` (the least ratio over F).
+:func:`finite_cuts` (over X), :func:`_piece_cuts` (the X that can cut off
+a finite piece, found by :func:`_pieces`), :func:`_connected_sets`
+(connected F) and :func:`_min_ratios` (the least ratio over F).
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -363,6 +366,12 @@ def iter_subsets(pool: Sequence[int], max_size: int) -> Iterator[tuple[int, ...]
         yield from itertools.combinations(pool, size)
 
 
+def _subset_count(n: int, max_size: int) -> int:
+    """How many sets :func:`iter_subsets` yields from n elements: the sum of
+    C(n, i) over i <= min(max_size, n)."""
+    return sum(math.comb(n, i) for i in range(min(max_size, n) + 1))
+
+
 def _finite_components(
     masks: Sequence[int], avail: int, seeds: int, frontier_mask: int
 ) -> list[int]:
@@ -399,23 +408,79 @@ def finite_cuts(
 ) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
     """Yield (X, mask of X, finite component masks of g - X) for |X| <= max_x.
 
-    X runs over the vertex subsets in (size, lexicographic) order,
+    X runs over all vertex subsets in (size, lexicographic) order,
     starting with the empty set; the components of each X are listed by
     least vertex.  A component is finite when it contains no vertex of
     frontier_mask; with frontier_mask 0 every component is, and each X
-    costs one :func:`mask_components` search.  With a frontier, a finite
-    component of g - X either touches N(X) or is a finite component of g
-    that X misses, so only those seeds are searched: N(X) minus X and the
-    least vertex of every finite component of g.
+    costs one :func:`mask_components` search.  With a frontier, each X is
+    searched by :func:`_open_cuts`; :func:`_piece_cuts` walks only the X
+    that can leave a finite component.
     """
     masks = g.neighbor_masks
-    full = g.full_mask
     subsets = iter_subsets(range(g.vertex_count), max_x)
     if not frontier_mask:
+        full = g.full_mask
         for xs in subsets:
             xmask = mask_of(xs)
             yield xs, xmask, mask_components(masks, full & ~xmask)
         return
+    yield from _open_cuts(g, frontier_mask, subsets)
+
+
+def _piece_cuts(
+    g: Graph, frontier_mask: int, max_x: int
+) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
+    """:func:`finite_cuts` on a window with a frontier, less X that leave
+    no finite component.
+
+    A finite component C of g - X is a piece (see :func:`_pieces`) with
+    N(C) inside X, so X = N(C) + Y for a piece with |N(C)| <= max_x and a
+    Y outside N(C) and C.  Pieces with the same N(C) draw Y from one pool,
+    the union of theirs.  For one N(C), Y -> N(C) + Y keeps the lex order
+    of equal-sized Y, so the streams of X of each size merge into (size,
+    lex) order, and repeats are dropped.  When the streams would hold at
+    least as many X as there are subsets of size <= max_x, all subsets are
+    walked instead, as in :func:`finite_cuts`.
+    """
+    full = g.full_mask
+    pools: dict[int, int] = {}
+    for c, nc in _pieces(g.neighbor_masks, frontier_mask, max_x):
+        pools[nc] = pools.get(nc, 0) | full & ~(c | nc)
+    n = g.vertex_count
+    walked = sum(_subset_count(pool.bit_count(), max_x - nc.bit_count())
+                 for nc, pool in pools.items())
+    if walked >= _subset_count(n, max_x):
+        return _open_cuts(g, frontier_mask, iter_subsets(range(n), max_x))
+    pieces = [(vertices_of(nc), pool) for nc, pool in pools.items()]
+
+    def of_size(nverts: tuple[int, ...], pool: int, size: int) -> Iterator[tuple[int, ...]]:
+        if size == len(nverts):
+            yield nverts
+            return
+        for ys in itertools.combinations(vertices_of(pool), size - len(nverts)):
+            yield tuple(sorted(nverts + ys))
+
+    subsets = (
+        xs
+        for size in range(max_x + 1)
+        for xs, _ in itertools.groupby(heapq.merge(*(
+            of_size(nverts, pool, size) for nverts, pool in pieces if len(nverts) <= size
+        )))
+    )
+    return _open_cuts(g, frontier_mask, subsets)
+
+
+def _open_cuts(
+    g: Graph, frontier_mask: int, subsets: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
+    """(X, mask of X, finite component masks of g - X) for each X of subsets.
+
+    A finite component of g - X either touches N(X) or is a finite
+    component of g that X misses, so only those seeds are searched: N(X)
+    minus X and the least vertex of every finite component of g.
+    """
+    masks = g.neighbor_masks
+    full = g.full_mask
     least = 0
     for comp in mask_components(masks, full):
         if not comp & frontier_mask:
@@ -428,6 +493,130 @@ def finite_cuts(
             nbrs |= masks[v]
         avail = full & ~xmask
         yield xs, xmask, _finite_components(masks, avail, nbrs, frontier_mask)
+
+
+def _pieces(masks: Sequence[int], frontier_mask: int, max_x: int) -> Iterator[tuple[int, int]]:
+    """Each piece C with |N(C)| <= max_x, once, as the masks (C, N(C)).
+
+    A piece is a nonempty connected vertex set with no frontier vertex:
+    what can be a finite component of g - X.  The search from root v finds
+    the pieces whose least vertex is v (the "connected set with small
+    neighbourhood" enumeration of Fomin and Villanger, 2012).  C grows from
+    {v}; the least undecided vertex of N(C) either joins C or stays out, in
+    D, and frontier vertices and ids below v stay out as soon as C touches
+    them.  A piece the branch can still reach has N = D plus a vertex cut
+    between C and those blocked vertices in g - D, so the branch ends when
+    |D| plus the least such cut exceeds max_x (Menger: more than max_x - |D|
+    disjoint paths, see :func:`_cut_exceeds`).
+    """
+    for v in range(len(masks)):
+        root = 1 << v
+        if root & frontier_mask:
+            continue
+        blocked = frontier_mask | (root - 1)
+        stack = [(root, masks[v], masks[v] & blocked)]
+        while stack:
+            c, nbrs, out = stack.pop()
+            budget = max_x - out.bit_count()
+            if budget < 0:
+                continue
+            undecided = nbrs & ~out
+            if not undecided:
+                yield c, out
+                continue
+            # Each path leaves C through its own vertex of N(C) - D that has a
+            # neighbour beyond C and D, so the flow runs only when more of
+            # them than the budget exist.
+            starts = 0
+            rest = undecided
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if masks[low.bit_length() - 1] & ~(c | out):
+                    starts |= low
+            if starts.bit_count() > budget and _cut_exceeds(
+                masks, c, starts, out, blocked, budget
+            ):
+                continue
+            u = undecided & -undecided
+            grown = masks[u.bit_length() - 1]
+            stack.append((c, nbrs, out | u))
+            stack.append((c | u, (nbrs | grown) & ~(c | u), out | grown & blocked))
+
+
+def _cut_exceeds(
+    masks: Sequence[int], source: int, starts: int, removed: int, sinks: int, budget: int
+) -> bool:
+    """True when more than budget paths lead from source to sinks in g - removed.
+
+    The paths leave source through starts, its neighbours outside removed,
+    share no vertex outside source, and end at their first vertex of sinks.
+    Each is one augmenting path of a unit-capacity flow on split vertices
+    (in-node 2x, out-node 2x + 1), found by breadth-first search over the
+    residual graph from the source, so the flow is built only on the part
+    of the graph the searches reach.  ``pred[y]`` is the vertex whose
+    out-node feeds y's in-node (-1 for the source), and ``succ[x]`` the
+    vertex x's out-node feeds; y carries a path when it has a pred.
+    """
+    closed = source | removed
+    pred: dict[int, int] = {}
+    succ: dict[int, int] = {}
+    for _ in range(budget + 1):
+        parent = {}
+        queue = deque()
+        rest = starts
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            y = low.bit_length() - 1
+            if pred.get(y) != -1:
+                parent[2 * y] = -1
+                queue.append(2 * y)
+        end = -1
+        while queue:
+            node = queue.popleft()
+            x = node >> 1
+            steps = []
+            if not node & 1:
+                if x not in pred:
+                    if sinks >> x & 1:
+                        end = node
+                        break
+                    steps.append(node | 1)
+                elif pred[x] != -1:
+                    steps.append(2 * pred[x] + 1)
+            else:
+                if x in pred:
+                    steps.append(node ^ 1)
+                rest = masks[x] & ~closed
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    z = low.bit_length() - 1
+                    if succ.get(x) != z:
+                        steps.append(2 * z)
+            for step in steps:
+                if step not in parent:
+                    parent[step] = node
+                    queue.append(step)
+        if end < 0:
+            return False
+        path = [end]
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
+        pred[path[-1] >> 1] = -1
+        for a, b in zip(reversed(path), reversed(path[:-1])):
+            x, y = a >> 1, b >> 1
+            if x == y:
+                continue  # an in-out arc of one vertex: pred decides it
+            if a & 1:  # along the edge x -> y
+                succ[x] = y
+                pred[y] = x
+            else:  # back along y -> x: cancel it
+                del succ[y]
+                if pred.get(x) == y:
+                    del pred[x]
+    return True
 
 
 def _connected_sets(masks: Sequence[int], pool: int, max_f: int) -> Iterator[int]:

@@ -2,13 +2,20 @@
 
 Everything here is exact: thresholds, ratios, and slacks are Fractions,
 never floats, so pass/fail verdicts cannot be poisoned by rounding.
-Enumerations run over all candidate sets up to a stated size bound, in
-(size, lexicographic) order, which makes reports and witnesses
-deterministic.  A verdict is therefore always "pass up to max_x" - the
-report carries its own bound.  The one exception is a Tutte check whose k
-exceeds the window: a perfect matching certifies it (see
-:func:`check_tutte_eps_k`), and the report is the one the enumeration
-would give.
+Verdicts cover every candidate set up to a stated size bound, and
+violations come in (size, lexicographic) order of their X, which makes
+reports and witnesses deterministic.  A verdict is therefore always "pass
+up to max_x" - the report carries its own bound, and ``candidates``
+counts every X it covers, examined or not.
+
+Not every X is examined.  On a closed window, and at epsilon > 1 (delta >
+d for the lemma), every X is.  On a window with a frontier at epsilon <= 1
+only the X that contain N(C) for some finite piece C (a connected vertex
+set with no frontier vertex) are.  Any other X leaves no finite
+component: clause (i) below counts none, the hull is X itself with slack
+|X|(1 - epsilon) >= 0, and both lemma inequalities hold.  A Tutte check
+whose k exceeds the window examines no X when a perfect matching
+certifies it (see :func:`check_tutte_eps_k`).
 
 The central check: a graph (window) satisfies the quantitative Tutte
 condition at (epsilon, k) when (i) no vertex set X leaves more than |X|
@@ -26,17 +33,17 @@ This module holds the inequalities, the reports and the expansion
 estimate; the graph questions behind them are answered in
 :mod:`tuttelab.core`, and the certificate's perfect matching in
 :mod:`tuttelab.matching`.  X runs through core's ``finite_cuts`` (as in the
-Tutte-Berge oracle), and :func:`hull_report` reads one X's components from
-``classify_components``.  The expansion estimate walks connected sets with
-core's reverse search and, like the gadget Hall audit, takes its minimum
-ratio and witness from core's minimum-ratio kernel.
+Tutte-Berge oracle) or, where only pieces matter, its ``_piece_cuts``, and
+:func:`hull_report` reads one X's components from ``classify_components``.
+The expansion estimate walks connected sets with core's reverse search
+and, like the gadget Hall audit, takes its minimum ratio and witness from
+core's minimum-ratio kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Sequence
 
 from .core import (
@@ -44,6 +51,8 @@ from .core import (
     Window,
     _connected_sets,
     _min_ratios,
+    _piece_cuts,
+    _subset_count,
     classify_components,
     finite_cuts,
     mask_is_connected,
@@ -133,19 +142,21 @@ def check_tutte_eps_k(
 ) -> TutteReport:
     """Check the quantitative Tutte condition for every X with |X| <= max_x.
 
-    Condition (i) is checked for every enumerated X; condition (ii) only
+    Condition (i) is checked for every examined X; condition (ii) only
     where it applies, i.e. when the odd hull is connected and has size at
-    least k.  The empty set is enumerated (it is how an odd component of
-    the graph itself is caught).
+    least k.  The empty set is examined (it is how an odd component of
+    the graph itself is caught).  On a window with a frontier and epsilon
+    <= 1, the examined X are those that can cut off a finite piece (see
+    the module docstring); otherwise they are all X.
 
     When k exceeds the vertex count n and the graph has a perfect matching,
     the check is certified instead of enumerated.  No hull can reach k
     vertices, so (ii) never applies; and by Tutte's theorem no X leaves
     more than |X| odd components of G - X, of which the odd finite
     components are a subset, so (i) holds too.  The report is then the one
-    the enumeration would give: no violations, and ``candidates`` is its
-    count of X, the sum of C(n, i) over i <= min(max_x, n).  Any k <= n is
-    enumerated without consulting the matching.
+    the enumeration would give: no violations.  ``candidates`` is always
+    the count of all X, the sum of C(n, i) over i <= min(max_x, n).  Any
+    k <= n is checked without consulting the matching.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
@@ -155,14 +166,13 @@ def check_tutte_eps_k(
     if max_x < 1:
         raise InputError("max_x must be positive")
     n = w.graph.vertex_count
+    candidates = _subset_count(n, max_x)
     if k > n and has_perfect_matching(w.graph):
-        candidates = sum(comb(n, i) for i in range(min(max_x, n) + 1))
         return TutteReport(epsilon, k, max_x, candidates, ())
     masks = w.graph.neighbor_masks
     violations: list[Violation] = []
-    candidates = 0
-    for xs, xmask, finite in finite_cuts(w.graph, w.frontier_mask, max_x):
-        candidates += 1
+    cuts = _piece_cuts if w.frontier_mask and epsilon <= 1 else finite_cuts
+    for xs, xmask, finite in cuts(w.graph, w.frontier_mask, max_x):
         odd_count = 0
         hull = xmask
         for comp in finite:
@@ -252,7 +262,11 @@ def verify_expansion_lemma(
       (a) each finite component of w - X has edge boundary >= d;
       (b) |X| >= #finite_components(X) + (delta/d) * |hull_fin(X)|.
 
-    Regularity means degree-plus-stubs equals d at every vertex.
+    Regularity means degree-plus-stubs equals d at every vertex.  On a
+    window with a frontier and delta <= d only the X that can cut off a
+    finite piece are examined: an X that leaves no finite component meets
+    (a) vacuously and (b) as |X| >= (delta/d)|X|.  ``candidates`` counts
+    every X all the same.
     """
     if max_x < 0:
         raise InputError("max_x must be nonnegative")
@@ -271,10 +285,10 @@ def verify_expansion_lemma(
     masks = g.neighbor_masks
     stubs = w.external_stubs
     violations: list[Violation] = []
-    candidates = 0
+    candidates = _subset_count(g.vertex_count, max_x) if max_x else 0
     if max_x > 0:
-        for xs, xmask, finite in finite_cuts(g, w.frontier_mask, max_x):
-            candidates += 1
+        cuts = _piece_cuts if w.frontier_mask and delta <= d else finite_cuts
+        for xs, xmask, finite in cuts(g, w.frontier_mask, max_x):
             hull = xmask
             # A boundary violation's count is its component's 1-based index.
             for index, comp in enumerate(finite, 1):

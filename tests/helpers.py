@@ -4,7 +4,9 @@ The size oracles here deliberately avoid the package's augmenting-path
 machinery: matching sizes come from a bitmask dynamic program and the
 Berge check walks alternating simple paths by brute force.  The one
 exception is ``reference_max_matching``, the plain O(V^3) blossom search
-that ``max_matching`` must reproduce edge for edge.
+that ``max_matching`` must reproduce edge for edge.  The Tutte and lemma
+oracles walk every X and read its components from ``hull_report``, never
+from the package's X-enumerations.
 """
 
 from __future__ import annotations
@@ -12,11 +14,21 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter, deque
+from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from tuttelab import Graph, MatchingState, Window, max_matching
+from tuttelab import (
+    Graph,
+    MatchingState,
+    TutteReport,
+    Violation,
+    Window,
+    hull_report,
+    max_matching,
+)
+from tuttelab.core import iter_subsets
 
 
 def brute_matching_size(g: Graph) -> int:
@@ -284,3 +296,71 @@ def windows(draw, max_n: int) -> Window:
         interior = draw(st.frozensets(st.integers(0, n - 1)))
     stubs = tuple(0 if v in interior else draw(st.integers(0, 3)) for v in range(n))
     return Window(Graph.from_edges(n, sorted(edges)), interior, stubs)
+
+
+def is_connected(g: Graph, vertices) -> bool:
+    """Whether the vertices induce a connected subgraph of g (true when empty)."""
+    vertices = set(vertices)
+    if not vertices:
+        return True
+    start = min(vertices)
+    seen, stack = {start}, [start]
+    while stack:
+        for u in g.adjacency[stack.pop()]:
+            if u in vertices and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen == vertices
+
+
+def brute_tutte(w: Window, epsilon, k: int, max_x: int) -> TutteReport:
+    """check_tutte_eps_k by walking every X with |X| <= max_x."""
+    epsilon = Fraction(epsilon)
+    violations = []
+    candidates = 0
+    for xs in iter_subsets(range(w.graph.vertex_count), max_x):
+        candidates += 1
+        rep = hull_report(w, xs)
+        odd = len(rep.odd_components)
+        hull = len(rep.hull_odd)
+        if odd > len(xs):
+            violations.append(Violation("tutte", xs, odd, hull, Fraction(len(xs) - odd)))
+        slack = len(xs) - odd - epsilon * hull
+        if hull >= k and is_connected(w.graph, rep.hull_odd) and slack < 0:
+            violations.append(Violation("quantitative", xs, odd, hull, slack))
+    return TutteReport(epsilon, k, max_x, candidates, tuple(violations))
+
+
+def brute_lemma(w: Window, d: int, delta, max_x: int) -> TutteReport:
+    """verify_expansion_lemma on a d-regular window by walking every X."""
+    eps = Fraction(delta) / d
+    g = w.graph
+    violations = []
+    candidates = 0
+    for xs in iter_subsets(range(g.vertex_count), max_x) if max_x else ():
+        candidates += 1
+        rep = hull_report(w, xs)
+        for index, comp in enumerate(rep.finite_components, 1):
+            boundary = sum(
+                w.external_stubs[v] + sum(u not in comp for u in g.adjacency[v])
+                for v in comp
+            )
+            if boundary < d:
+                violations.append(Violation(
+                    "boundary", xs, index, len(comp), Fraction(boundary - d), comp))
+        count = len(rep.finite_components)
+        hull = len(rep.hull_fin)
+        slack = len(xs) - count - eps * hull
+        if slack < 0:
+            violations.append(Violation("expansion", xs, count, hull, slack))
+    return TutteReport(eps, 1, max_x, candidates, tuple(violations))
+
+
+def made_regular(w: Window) -> tuple[Window, int]:
+    """The window with every vertex below the maximum degree d made frontier,
+    carrying d - degree stubs; returns it and d."""
+    g = w.graph
+    d = max(map(len, g.adjacency), default=0)
+    short = {v for v in range(g.vertex_count) if g.degree(v) < d}
+    stubs = tuple(d - g.degree(v) for v in range(g.vertex_count))
+    return Window(g, w.interior - short, stubs), d

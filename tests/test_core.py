@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import windows
+from helpers import is_connected, windows
 from tuttelab import (
     Edge,
     Graph,
@@ -34,7 +34,7 @@ from tuttelab import (
     run_layered_matching,
     verify_balanced,
 )
-from tuttelab.core import _min_ratios, finite_cuts, mask_of
+from tuttelab.core import _min_ratios, _piece_cuts, _pieces, finite_cuts, mask_of
 from tuttelab.verifier import _mask_boundary
 
 
@@ -266,6 +266,64 @@ class TestClassifyComponents:
             got = [[v for v in range(n) if comp >> v & 1] for comp in finite]
             assert got == expected
         assert candidates == sum(math.comb(n, i) for i in range(max_x + 1))
+
+
+def naive_pieces(w, max_x):
+    """Every connected frontier-free vertex set C with |N(C)| <= max_x."""
+    g = w.graph
+    found = set()
+    for size in range(1, g.vertex_count + 1):
+        for cs in itertools.combinations(sorted(w.interior), size):
+            if not is_connected(g, cs):
+                continue
+            nbrs = {u for v in cs for u in g.adjacency[v]} - set(cs)
+            if len(nbrs) <= max_x:
+                found.add((mask_of(cs), mask_of(nbrs)))
+    return found
+
+
+class TestPieces:
+    @given(windows(max_n=8), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_each_piece_once(self, w, data):
+        max_x = data.draw(st.integers(0, w.graph.vertex_count))
+        got = list(_pieces(w.graph.neighbor_masks, w.frontier_mask, max_x))
+        assert len(got) == len(set(got))
+        assert set(got) == naive_pieces(w, max_x)
+
+    @given(windows(max_n=8), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_piece_cuts_keep_every_cut_that_leaves_a_finite_component(self, w, data):
+        g = w.graph
+        assume(w.frontier_mask)
+        max_x = data.draw(st.integers(0, g.vertex_count + 1))
+        every = list(finite_cuts(g, w.frontier_mask, max_x))
+        walked = list(_piece_cuts(g, w.frontier_mask, max_x))
+        # A subsequence of the (size, lex) enumeration, with the same
+        # components, that misses only X leaving no finite component.
+        position = {xs: i for i, (xs, _, _) in enumerate(every)}
+        assert [position[xs] for xs, _, _ in walked] == sorted(
+            position[xs] for xs, _, _ in walked)
+        assert len({xs for xs, _, _ in walked}) == len(walked)
+        assert [cut for cut in walked if cut[2]] == [cut for cut in every if cut[2]]
+
+    def test_open_ball_pieces_are_interior_stars(self):
+        # In the 4-regular tree every connected C has |N(C)| = 2|C| + 2, so
+        # at max_x = 4 the pieces are the single non-frontier vertices.
+        w = cayley_ball(GroupSpec.free(2), 3)
+        assert list(_piece_cuts(w.graph, w.frontier_mask, 3)) == []
+        walked = [xs for xs, _, _ in _piece_cuts(w.graph, w.frontier_mask, 4)]
+        assert sorted(walked) == sorted(
+            tuple(w.graph.adjacency[v]) for v in sorted(w.interior))
+
+    def test_path_with_one_frontier_end_walks_every_subset(self):
+        # Every vertex of the path cuts off the part beyond it, away from
+        # frontier vertex 0: the pieces' X would outnumber all subsets, so
+        # all are walked.
+        g = fixture("path(12)")
+        frontier = 1
+        walked = [xs for xs, _, _ in _piece_cuts(g, frontier, 3)]
+        assert walked == [xs for xs, _, _ in finite_cuts(g, frontier, 3)]
 
 
 class TestMinRatios:

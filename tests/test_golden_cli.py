@@ -10,9 +10,13 @@ components listed by least vertex when a search from N(X) would meet them
 in another order, finite odd components cut off by |X| = 4 on the open
 ball, the (size, lex) least of many tied expansion minimisers, and Tutte
 checks with k above the vertex count: certified by a perfect matching on
-a closed and an open window, enumerated on a star that has none.  Any
-change to verdicts, witnesses, counts or formatting shows up here as a
-changed digest.
+a closed and an open window, enumerated on a star that has none.  On the
+open ball, epsilon = 1 (and the lemma's delta = d) is the largest value
+that examines only the X cutting off a finite piece, and epsilon = 3/2
+walks every X; a caterpillar with one frontier end has a piece at every
+leaf (so many that every X is walked), and a comb of frontier vertices
+has three leaf pieces.  Any change to verdicts, witnesses, counts or formatting shows up
+here as a changed digest.
 """
 
 import hashlib
@@ -53,6 +57,18 @@ INPUTS = {
     # A triangle and an edgeless frontier vertex with 4 stubs, whose two
     # copy nodes share no gadget neighbor.
     "isolated": lambda: "4 3\n0 1\n0 2\n1 2\n# interior: 0 1 2\n# stubs: 3 4\n",
+    # A caterpillar: spine 0-1-2-3-4, two leaves on each spine vertex, and
+    # one frontier end (0, with 2 stubs).  Every leaf is a piece with a
+    # one-vertex neighbourhood.
+    "caterpillar": lambda: format_window(Window(
+        Graph.from_edges(15, [(0, 1), (1, 2), (2, 3), (3, 4)]
+                         + [(s, 5 + 2 * s + i) for s in range(5) for i in (0, 1)]),
+        frozenset(range(1, 15)), (2,) + (0,) * 14)),
+    # A comb: a frontier path 0-...-9 with leaves 10, 11, 12 on 2, 5 and 8,
+    # the only pieces, each with a one-vertex neighbourhood.
+    "comb": lambda: format_window(Window(
+        Graph.from_edges(13, [(i, i + 1) for i in range(9)] + [(2, 10), (5, 11), (8, 12)]),
+        frozenset({10, 11, 12}), (2,) * 10 + (0,) * 3)),
 }
 
 # (argv with input names in braces, exit code, sha256 of stdout)
@@ -131,6 +147,16 @@ CASES = [
      1, "d68bad74d796c707b3294a2fb7760c250d6f6d959b0467738ab5db94ea9db146"),
     (["verify-tutte", "{twopieces}", "--epsilon", "1/2", "--k", "11", "--max-x", "3"],
      0, "cc57e17e2b7947d489c3a39bed9770fc24daf9bda612bea9d62bfb902cf2f332"),
+    (["verify-tutte", "{ball2}", "--epsilon", "1", "--k", "1", "--max-x", "4"],
+     1, "2d465f883c64aac32262f2a02f622e97049101a0a199bc92a9c7f16806ceb59c"),
+    (["verify-tutte", "{ball2}", "--epsilon", "3/2", "--k", "2", "--max-x", "3"],
+     1, "e76f0715a67c297bee72817df95015dec7aa8af3b873739fe3067273b8275034"),
+    (["verify-tutte", "{caterpillar}", "--epsilon", "1/2", "--k", "1", "--max-x", "3"],
+     1, "188266d4736329270101b78248ae9a5cbbbd329fa6061ce4882b5898f4bc475a"),
+    (["verify-tutte", "{caterpillar}", "--epsilon", "1", "--k", "3", "--max-x", "4"],
+     1, "2a082d13025061a1f1ba1fa15949fe0e6f3ab60527b241d0c9c52260beb95a95"),
+    (["verify-tutte", "{comb}", "--epsilon", "1/2", "--k", "1", "--max-x", "3"],
+     1, "dd85459584300e0ebf4751660e8f7da3414687fc6a513748e0e2d772621da782"),
 ]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest.mock import patch
@@ -6,7 +7,15 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import pendant_completion, random_graph, windows
+from helpers import (
+    brute_lemma,
+    brute_tutte,
+    is_connected,
+    made_regular,
+    pendant_completion,
+    random_graph,
+    windows,
+)
 from tuttelab import (
     Graph,
     GroupSpec,
@@ -40,16 +49,6 @@ TWO_PIECES = Window(
     frozenset(range(9)),
     (0,) * 9 + (2,),
 )
-
-
-def is_connected(g, fs):
-    seen, stack = {fs[0]}, [fs[0]]
-    while stack:
-        for u in g.adjacency[stack.pop()]:
-            if u in fs and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(fs)
 
 
 def brute_force_expansion(g, stubs, max_f):
@@ -419,3 +418,41 @@ class TestExpansionLemma:
         assert [v.x for v in boundary_violations] == [()]
         assert boundary_violations[0].component == (0, 1, 2, 3)
         assert any(v.kind == "expansion" for v in rep.violations)
+
+
+class TestAgainstAllSubsets:
+    """The verifiers against the helpers' walk over every X.
+
+    On a window with a frontier and epsilon <= 1 (delta <= d for the lemma)
+    the verifiers examine only the X that cut off a finite piece; closed
+    windows, epsilon > 1 and delta > d walk every X.
+    """
+
+    @given(windows(max_n=7), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_tutte_check(self, w, data):
+        n = w.graph.vertex_count
+        assume(n >= 1)
+        eps = data.draw(st.sampled_from([Fraction(e) for e in ("0", "1/2", "1", "3/2")]))
+        k = data.draw(st.integers(1, n + 1))
+        max_x = data.draw(st.integers(1, n))
+        assert check_tutte_eps_k(w, eps, k, max_x) == brute_tutte(w, eps, k, max_x)
+
+    @given(windows(max_n=7), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_expansion_lemma(self, w, data):
+        w, d = made_regular(w)
+        assume(d >= 1)
+        delta = data.draw(st.sampled_from([Fraction(v, 2) for v in (0, d, 2 * d, 2 * d + 2)]))
+        max_x = data.draw(st.integers(0, w.graph.vertex_count))
+        assert verify_expansion_lemma(w, d, delta, max_x) == brute_lemma(w, d, delta, max_x)
+
+    def test_paper_scale_ball(self):
+        # The free(2) radius-5 ball: 485 vertices, so 2.3e9 candidate X at
+        # max_x = 4, of which 161 cut off a piece (an interior vertex).
+        w = cayley_ball(GroupSpec.free(2), 5)
+        candidates = sum(math.comb(485, i) for i in range(5))
+        tutte = check_tutte_eps_k(w, Fraction(1, 2), 1, 4)
+        assert tutte.passed and tutte.candidates == candidates
+        lemma = verify_expansion_lemma(w, 4, 2, 4)
+        assert lemma.passed and lemma.candidates == candidates
