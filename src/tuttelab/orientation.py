@@ -13,6 +13,13 @@ allocated against degree-plus-stubs (which must be even), i.e. each stub
 contributes half a copy node.  Such gadgets exist for auditing
 neighborhood expansion; they are not perfectly matchable inside the
 truncation, since stub edges have no edge node.
+
+The Hall audit checks |N(F)| >= (1+eps)|F| on each gadget side.  Copies
+of one host vertex are twins (the same gadget neighbors, the same stub
+credit), so an F's ratios depend only on its owner set and its size: the
+audit scores, per owner set, the largest F it allows (and, for an owner
+set with no gadget neighbor, the smallest), since no other F can be the
+least (size, lex) minimiser.  Its ``checked`` counts every F covered.
 """
 
 from __future__ import annotations
@@ -21,9 +28,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import Edge, Graph, InputError, _min_ratios, iter_subsets, vertices_of
+from .core import (
+    Edge,
+    Graph,
+    InputError,
+    _min_ratios,
+    _subset_count,
+    iter_subsets,
+)
 from .matching import MatchingState, bipartite_max_matching
 
 
@@ -310,6 +324,19 @@ def check_gadget_hall_expansion(
     credit: stub halves already entered the copy counts when the gadget
     was built.  Minima are reported both with and without the credit.
 
+    Each side is read as runs of twins: the copies of one host vertex
+    share their gadget neighbors and their credit, and an edge node is a
+    run of its own.  Both ratios of F therefore depend only on its owner
+    set O (the runs F meets) and on |F|, so the F scored are, per O of
+    at most max_f runs, the lex-least F of size min(max_f, |copies of
+    O|) (each run's first node plus the least remaining ones), and also
+    the run-firsts F when O has no gadget neighbor.  No other F can be
+    the least (size, lex) minimiser: O fixes both numerators, so where
+    one is positive its ratio falls strictly as |F| grows, and where it
+    is zero every size ties and the least size wins.  ``checked`` still
+    counts every F covered, the nonempty subsets of the side with at
+    most max_f nodes.
+
     The credited verdict holds only up to max_f: on the free(2) radius-2
     ball the vertex-side credited minimum is 5/4 at max_f 4-5, 7/6 at 6-7
     and 17/16 at 8-10.
@@ -320,28 +347,47 @@ def check_gadget_hall_expansion(
     if max_f < 1:
         raise InputError("max_f must be positive")
     masks = gadget.graph.neighbor_masks
-    stubs = gadget.stubs
-    # Per gadget node, the bit of the host vertex whose stubs it credits:
-    # a copy node's owner when that owner has stubs, nothing otherwise.
-    credit_bits = (0,) * gadget.edge_node_count + tuple(
-        1 << v if stubs[v] else 0 for v in gadget.copy_owner
-    )
+    # Runs of twins, as tuples of ascending node ids: one per edge node,
+    # and the copies of each host vertex that has any.
+    edge_runs = [(node,) for node in gadget.edge_nodes]
+    copy_runs = []
+    credit = [0] * gadget.graph.vertex_count
+    start = gadget.edge_node_count
+    for v, count in enumerate(gadget.copy_counts):
+        if count:
+            copy_runs.append(tuple(range(start, start + count)))
+            credit[start] = gadget.stubs[v]
+        start += count
 
+    def candidates(runs: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+        for owned in islice(iter_subsets(runs, max_f), 1, None):
+            room = max_f - len(owned)
+            fs: tuple[int, ...] = ()
+            for run in owned:
+                take = min(room, len(run) - 1)
+                fs += run[: take + 1]
+                room -= take
+            yield fs
+            if len(fs) > len(owned) and not any(masks[run[0]] for run in owned):
+                yield tuple(run[0] for run in owned)
+
+    # Every F scored holds the first copy of each owner it meets, so an
+    # owner's stubs are credited through its first copy alone.
     def ratios(fs: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, int]]:
-        nmask = owners = 0
+        nmask = stubs = 0
         for node in fs:
             nmask |= masks[node]
-            owners |= credit_bits[node]
+            stubs += credit[node]
         count = nmask.bit_count()
-        credit = sum(stubs[v] for v in vertices_of(owners))
-        return (count, len(fs)), (2 * count + credit, 2 * len(fs))
+        return (count, len(fs)), (2 * count + stubs, 2 * len(fs))
 
-    def audit(side: str, nodes: range) -> HallSide:
-        checked, [(raw, witness), (credited, witness_credited)] = _min_ratios(
-            islice(iter_subsets(nodes, max_f), 1, None), ratios, 2
+    def audit(side: str, runs: list[tuple[int, ...]]) -> HallSide:
+        _, [(raw, witness), (credited, witness_credited)] = _min_ratios(
+            candidates(runs), ratios, 2
         )
+        checked = _subset_count(sum(map(len, runs)), max_f) - 1
         return HallSide(side, checked, raw, witness, credited, witness_credited)
 
-    edge_side = audit("edge", gadget.edge_nodes)
-    vertex_side = audit("vertex", gadget.copy_nodes)
+    edge_side = audit("edge", edge_runs)
+    vertex_side = audit("vertex", copy_runs)
     return GadgetHallReport(epsilon, max_f, edge_side, vertex_side)

@@ -6,7 +6,8 @@ Berge check walks alternating simple paths by brute force.  The one
 exception is ``reference_max_matching``, the plain O(V^3) blossom search
 that ``max_matching`` must reproduce edge for edge.  The Tutte and lemma
 oracles walk every X and read its components from ``hull_report``, never
-from the package's X-enumerations.
+from the package's X-enumerations.  The Hall oracle scores every F with
+plain Fractions, never the package's owner-set reduction.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from tuttelab import (
+    GadgetGraph,
+    GadgetHallReport,
     Graph,
+    HallSide,
     MatchingState,
     TutteReport,
     Violation,
@@ -364,3 +368,36 @@ def made_regular(w: Window) -> tuple[Window, int]:
     short = {v for v in range(g.vertex_count) if g.degree(v) < d}
     stubs = tuple(d - g.degree(v) for v in range(g.vertex_count))
     return Window(g, w.interior - short, stubs), d
+
+
+def brute_hall(gadget: GadgetGraph, epsilon, max_f: int) -> GadgetHallReport:
+    """check_gadget_hall_expansion by scoring every F with 1 <= |F| <= max_f.
+
+    Subsets come by ascending size, lex within a size, so the first F to
+    reach a minimum is its least (size, lex) witness.
+    """
+    adjacency = gadget.graph.adjacency
+
+    def side(name: str, nodes: range) -> HallSide:
+        checked = 0
+        best: list = [(None, ()), (None, ())]
+        for fs in iter_subsets(nodes, max_f):
+            if not fs:
+                continue
+            checked += 1
+            hood = {u for node in fs for u in adjacency[node]}
+            owners = {gadget.owner_of(node) for node in fs if node in gadget.copy_nodes}
+            raw = Fraction(len(hood), len(fs))
+            credit = Fraction(sum(gadget.stubs[v] for v in owners), 2 * len(fs))
+            for pos, value in enumerate((raw, raw + credit)):
+                if best[pos][0] is None or value < best[pos][0]:
+                    best[pos] = (value, fs)
+        (raw, witness), (credited, witness_credited) = best
+        return HallSide(name, checked, raw, witness, credited, witness_credited)
+
+    return GadgetHallReport(
+        Fraction(epsilon),
+        max_f,
+        side("edge", gadget.edge_nodes),
+        side("vertex", gadget.copy_nodes),
+    )

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import random_even_degree_graph
+from helpers import brute_hall, random_even_degree_graph
 from tuttelab import (
     Edge,
+    GadgetGraph,
     Graph,
     GroupSpec,
     InputError,
@@ -22,6 +24,28 @@ from tuttelab import (
     orientation_from_matching,
     verify_balanced,
 )
+
+
+@st.composite
+def stubbed_gadgets(draw) -> GadgetGraph:
+    """Hypothesis strategy: a gadget on at most 6 host vertices and 4 edges.
+
+    Each vertex draws 0-3 extra copies (2-6 extra stubs, on top of one
+    that makes its degree even), at most 5 in all, so edgeless vertices
+    carry runs of up to 3 copies with no gadget neighbor, and a vertex
+    that draws none while edgeless has no copy at all.
+    """
+    n = draw(st.integers(0, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=4)) if pairs else set()
+    g = Graph.from_edges(n, sorted(edges))
+    spare = 5
+    stubs = []
+    for v in range(n):
+        extra = draw(st.integers(0, min(3, spare)))
+        spare -= extra
+        stubs.append(g.degree(v) % 2 + 2 * extra)
+    return build_gadget(g, stubs)
 
 
 def two_triangles() -> Graph:
@@ -314,6 +338,40 @@ class TestHallAudit:
                     best = min(entry[pos] for entry in scored)
                     assert got == best
                     assert witness == next(e[2] for e in scored if e[pos] == best)
+
+    @given(
+        stubbed_gadgets(),
+        st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(1)]),
+        st.integers(1, 6),
+    )
+    # Vertex 3 is edgeless: with stubs its copies have no gadget neighbor,
+    # so every F of them ties at 0 and the least size wins; without stubs
+    # it has no copy, and the ends of the path 0-2-1 get two copies each.
+    @example(build_gadget(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]), (0, 0, 0, 6)),
+             Fraction(1, 5), 2)
+    @example(build_gadget(Graph.from_edges(4, [(0, 2), (1, 2)]), (3, 3, 0, 0)),
+             Fraction(1, 5), 3)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_all_subsets_oracle(self, gad, epsilon, max_f):
+        # Field for field: both minima, their witnesses and checked.
+        assert check_gadget_hall_expansion(gad, epsilon, max_f) == brute_hall(
+            gad, epsilon, max_f
+        )
+
+    @pytest.mark.parametrize("max_f, value, witness, owners", [
+        (7, Fraction(7, 6), (18, 19, 26, 27, 28, 29), {1, 5, 6}),
+        (8, Fraction(17, 16), (18, 19, 26, 27, 28, 29, 30, 31), {1, 5, 6, 7}),
+    ])
+    def test_credited_minimum_falls_past_the_bound(self, max_f, value, witness, owners):
+        # The README's bound dependence: 5/4 at max_f 4-5 (pinned above),
+        # then 7/6 and 17/16.  The witnesses are every copy of radius-1
+        # vertex 1 and of two, then all three, of its frontier children.
+        w = cayley_ball(GroupSpec.free(2), 2)
+        gad = build_gadget(w.graph, w.external_stubs)
+        side = check_gadget_hall_expansion(gad, 0, max_f).vertex_side
+        assert (side.min_ratio_credited, side.witness_credited) == (value, witness)
+        assert {gad.owner_of(node) for node in witness} == owners
+        assert all(list(w.graph.adjacency[v]) == [1] for v in owners - {1})
 
     def test_negative_epsilon_rejected(self):
         gad = build_gadget(fixture("cycle(4)"))
