@@ -322,7 +322,8 @@ def vertices_of(mask: int) -> tuple[int, ...]:
 
 
 def mask_components(masks: Sequence[int], avail: int) -> list[int]:
-    """Connected components (as masks) of the subgraph induced on avail."""
+    """Connected components (as masks) of the subgraph induced on avail,
+    listed by least vertex: each search starts at the least vertex left."""
     comps = []
     rem = avail
     while rem:
@@ -412,19 +413,66 @@ def finite_cuts(
     starting with the empty set; the components of each X are listed by
     least vertex.  A component is finite when it contains no vertex of
     frontier_mask; with frontier_mask 0 every component is, and each X
-    costs one :func:`mask_components` search.  With a frontier, each X is
-    searched by :func:`_open_cuts`; :func:`_piece_cuts` walks only the X
-    that can leave a finite component.
+    costs one :func:`mask_components` search: of the components of g that
+    X touches when g has more components than max_x (see
+    :func:`_split_cuts`), else of all of g - X.  With a frontier, each X
+    is searched by :func:`_open_cuts`; :func:`_piece_cuts` walks only the
+    X that can leave a finite component.
     """
     masks = g.neighbor_masks
     subsets = iter_subsets(range(g.vertex_count), max_x)
-    if not frontier_mask:
-        full = g.full_mask
-        for xs in subsets:
-            xmask = mask_of(xs)
-            yield xs, xmask, mask_components(masks, full & ~xmask)
+    if frontier_mask:
+        yield from _open_cuts(g, frontier_mask, subsets)
         return
-    yield from _open_cuts(g, frontier_mask, subsets)
+    full = g.full_mask
+    xs = next(subsets, None)
+    if xs is None:
+        return
+    # X = () comes first, and its components are those of g.
+    comps = mask_components(masks, full)
+    yield xs, 0, comps
+    if len(comps) > max_x:
+        yield from _split_cuts(masks, full, comps, subsets)
+        return
+    for xs in subsets:
+        xmask = mask_of(xs)
+        yield xs, xmask, mask_components(masks, full & ~xmask)
+
+
+def _split_cuts(
+    masks: Sequence[int], full: int, comps: list[int], subsets: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
+    """(X, mask of X, component masks of g - X) for each X of subsets, where
+    comps lists the components of g (full), more than any X has vertices.
+
+    Only the components that X touches are searched, in one
+    :func:`mask_components` call; each component X misses is taken as it
+    is, and every X misses at least one.  (An X that touches every
+    component would pay this walk on top of a full search, so
+    :func:`finite_cuts` walks such graphs the plain way.)  The least
+    vertex not yet listed either lies in a component X misses or starts
+    the next component the search found, since the search lists them by
+    least vertex, so the list comes in that order unsorted.
+    """
+    whole = [0] * len(masks)
+    for comp in comps:
+        for v in vertices_of(comp):
+            whole[v] = comp
+    for xs in subsets:
+        xmask = touched = 0
+        for v in xs:
+            xmask |= 1 << v
+            touched |= whole[v]
+        split = iter(mask_components(masks, touched & ~xmask))
+        found = []
+        rest = full & ~xmask
+        while rest:
+            comp = whole[(rest & -rest).bit_length() - 1]
+            if comp & xmask:
+                comp = next(split)
+            found.append(comp)
+            rest &= ~comp
+        yield xs, xmask, found
 
 
 def _piece_cuts(

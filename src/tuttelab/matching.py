@@ -5,11 +5,14 @@ augmenting paths in an alternating tree, with blossom contraction (O(V^3)
 in the worst case).  Each search works only on the vertices its tree
 reaches: the search state is allocated once per call and reset on the
 tree alone, so on sparse inputs, where most trees stay small, the whole
-matching takes near-linear time.  Bipartite graphs get Hopcroft-Karp.
-Both scan vertices and sorted adjacency lists in canonical order, so
-results are reproducible run to run.  The Tutte-Berge deficiency is an
-exhaustive, enumeration-based cross-oracle: it never consults the
-augmenting-path machinery.  Its X-enumeration is core's ``finite_cuts``;
+matching takes near-linear time.  Bipartite graphs get Hopcroft-Karp,
+whose loop is a private kernel on rows of right-side indices: the
+orientation module's gadget route calls it on rows it computes from the
+host graph, without building a gadget graph.  Both scan vertices and
+sorted adjacency lists in canonical order, so results are reproducible
+run to run.  The Tutte-Berge deficiency is an exhaustive,
+enumeration-based cross-oracle: it never consults the augmenting-path
+machinery.  Its X-enumeration is core's ``finite_cuts``;
 this module imports only core, so the verifier may import the oracles:
 its Tutte check asks :func:`has_perfect_matching` for a certificate when
 k exceeds the window.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Edge, Graph, InputError, finite_cuts, remove_vertices
 
@@ -225,15 +228,31 @@ def bipartite_max_matching(g: Graph, side: Iterable[int]) -> MatchingState:
     rights = sorted(set(range(g.vertex_count)) - left)
     rindex = {v: i for i, v in enumerate(rights)}
     adj = [[rindex[u] for u in g.adjacency[v]] for v in lefts]
+    mate_l = _hopcroft_karp(adj, len(rights))
+    pairs = [
+        (lefts[i], rights[mate_l[i]]) for i in range(len(lefts)) if mate_l[i] != -1
+    ]
+    return MatchingState.from_pairs(pairs, g)
 
-    inf = len(lefts) + 1
-    mate_l = [-1] * len(lefts)
-    mate_r = [-1] * len(rights)
-    dist = [0] * len(lefts)
+
+def _hopcroft_karp(rows: Sequence[Sequence[int]], right_count: int) -> list[int]:
+    """Hopcroft-Karp on a bipartite graph given as left rows of right indices.
+
+    ``rows[i]`` lists the right neighbours of left vertex i, in the order
+    they are scanned; the result holds, per left vertex, its mate's right
+    index or -1.  Phases alternate a breadth-first layering from the free
+    left vertices with augmenting-path searches from each free left vertex
+    in ascending order (Hopcroft & Karp, 1973), so equal rows give equal
+    matchings.
+    """
+    inf = len(rows) + 1
+    mate_l = [-1] * len(rows)
+    mate_r = [-1] * right_count
+    dist = [0] * len(rows)
 
     def bfs() -> bool:
         queue = deque()
-        for i in range(len(lefts)):
+        for i in range(len(rows)):
             if mate_l[i] == -1:
                 dist[i] = 0
                 queue.append(i)
@@ -244,7 +263,7 @@ def bipartite_max_matching(g: Graph, side: Iterable[int]) -> MatchingState:
             i = queue.popleft()
             if dist[i] >= reachable_free:
                 continue
-            for j in adj[i]:
+            for j in rows[i]:
                 k = mate_r[j]
                 if k == -1:
                     if reachable_free > dist[i] + 1:
@@ -258,7 +277,7 @@ def bipartite_max_matching(g: Graph, side: Iterable[int]) -> MatchingState:
         # Augmenting-path search along the BFS layers on an explicit stack of
         # (left vertex, neighbour iterator), so path length is not bounded by
         # the recursion limit; a dead-end vertex is retired (dist = inf).
-        stack = [(root, iter(adj[root]))]
+        stack = [(root, iter(rows[root]))]
         while stack:
             i, scan = stack[-1]
             step = dist[i] + 1
@@ -271,7 +290,7 @@ def bipartite_max_matching(g: Graph, side: Iterable[int]) -> MatchingState:
                 stack.pop()
                 continue
             if k != -1:
-                stack.append((k, iter(adj[k])))
+                stack.append((k, iter(rows[k])))
                 continue
             # j is free: flip the path, each vertex passing its partner down.
             for i, _ in reversed(stack):
@@ -281,14 +300,11 @@ def bipartite_max_matching(g: Graph, side: Iterable[int]) -> MatchingState:
         return False
 
     while bfs():
-        for i in range(len(lefts)):
+        for i in range(len(rows)):
             if mate_l[i] == -1:
                 dfs(i)
 
-    pairs = [
-        (lefts[i], rights[mate_l[i]]) for i in range(len(lefts)) if mate_l[i] != -1
-    ]
-    return MatchingState.from_pairs(pairs, g)
+    return mate_l
 
 
 class DeficiencyReport(NamedTuple):

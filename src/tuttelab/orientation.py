@@ -6,7 +6,11 @@ one node per host edge, deg(v)/2 copy nodes per host vertex, each edge
 node adjacent to every copy of its endpoints.  A perfect matching of the
 gadget directs each host edge toward the vertex owning its matched copy,
 and the in-degree at v is then exactly deg(v)/2.  The two routes validate
-each other.
+each other.  The gadget route never builds the gadget graph: one layout
+helper gives each edge node's row of copy indices, which
+:func:`build_gadget` turns into edges and the route hands straight to
+matching's Hopcroft-Karp kernel, since the gadget is bipartite by
+construction.
 
 For truncation windows the gadget accepts stub counts: copies are
 allocated against degree-plus-stubs (which must be even), i.e. each stub
@@ -27,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -38,7 +42,7 @@ from .core import (
     _subset_count,
     iter_subsets,
 )
-from .matching import MatchingState, bipartite_max_matching
+from .matching import MatchingState, _hopcroft_karp
 
 
 class GadgetMatchingError(RuntimeError):
@@ -145,14 +149,17 @@ class GadgetGraph:
         return self.copy_owner[node - self.edge_node_count]
 
 
-def build_gadget(g: Graph, stubs: Sequence[int] | None = None) -> GadgetGraph:
-    """Build the bipartite gadget; stubs must be nonnegative and degrees
-    (plus stubs) even."""
-    if stubs is None:
-        stubs = (0,) * g.vertex_count
-    stubs = tuple(stubs)
-    if len(stubs) != g.vertex_count:
-        raise InputError("stubs must list one count per host vertex")
+def _gadget_layout(
+    g: Graph, stubs: Sequence[int]
+) -> tuple[list[Edge], list[int], list[int], list[list[int]]]:
+    """The host edges in lex order, the copy counts, each copy's owner, and
+    each edge node's row.
+
+    Copies are numbered 0.. grouped by owner in ascending (vertex, index)
+    order, and the row of host edge u < v lists u's copy indices, then
+    v's: the edge node's gadget adjacency, less the edge-node offset.
+    Stubs must be nonnegative and degrees (plus stubs) even.
+    """
     negative = [v for v, k in enumerate(stubs) if k < 0]
     if negative:
         raise InputError(f"negative stub count at vertex {negative[0]}")
@@ -162,24 +169,32 @@ def build_gadget(g: Graph, stubs: Sequence[int] | None = None) -> GadgetGraph:
         if total % 2 != 0:
             raise InputError(f"vertex {v} has odd degree {total}")
         copy_counts.append(total // 2)
-    host_edges = tuple(g.edges())
+    first_copy = list(accumulate(copy_counts, initial=0))
+    copy_owner = [v for v, c in enumerate(copy_counts) for _ in range(c)]
+    host_edges = g.edges()
+    rows = [
+        [*range(first_copy[u], first_copy[u + 1]), *range(first_copy[v], first_copy[v + 1])]
+        for u, v in host_edges
+    ]
+    return host_edges, copy_counts, copy_owner, rows
+
+
+def build_gadget(g: Graph, stubs: Sequence[int] | None = None) -> GadgetGraph:
+    """Build the bipartite gadget; stubs must be nonnegative and degrees
+    (plus stubs) even."""
+    if stubs is None:
+        stubs = (0,) * g.vertex_count
+    stubs = tuple(stubs)
+    if len(stubs) != g.vertex_count:
+        raise InputError("stubs must list one count per host vertex")
+    host_edges, copy_counts, copy_owner, rows = _gadget_layout(g, stubs)
     m = len(host_edges)
-    copy_owner: list[int] = []
-    first_copy = {}
-    for v, c in enumerate(copy_counts):
-        first_copy[v] = m + len(copy_owner)
-        copy_owner.extend([v] * c)
-    gadget_edges = []
-    for i, e in enumerate(host_edges):
-        for v in (e.u, e.v):
-            base = first_copy[v]
-            for j in range(copy_counts[v]):
-                gadget_edges.append((i, base + j))
+    gadget_edges = [(i, m + t) for i, row in enumerate(rows) for t in row]
     gadget = Graph.from_edges(m + len(copy_owner), gadget_edges)
     return GadgetGraph(
         stubs=stubs,
         graph=gadget,
-        host_edges=host_edges,
+        host_edges=tuple(host_edges),
         copy_owner=tuple(copy_owner),
         copy_counts=tuple(copy_counts),
     )
@@ -211,19 +226,28 @@ def orientation_from_matching(gadget: GadgetGraph, m: MatchingState) -> Orientat
 
 
 def balanced_orientation_via_gadget(g: Graph) -> Orientation:
-    """Orient via a perfect gadget matching; verified balanced on return."""
-    gadget = build_gadget(g)
-    matching = bipartite_max_matching(gadget.graph, gadget.edge_nodes)
-    if 2 * matching.size != gadget.graph.vertex_count:
-        uncovered = tuple(
-            v for v in range(gadget.graph.vertex_count) if v not in matching.covered
+    """Orient via a perfect gadget matching; verified balanced on return.
+
+    Hopcroft-Karp runs on the gadget's edge-node rows without building the
+    gadget: it is bipartite by construction, and the rows are its sorted
+    adjacency, so the matching is that of :func:`bipartite_max_matching`
+    on :func:`build_gadget`'s graph, edge for edge.
+    """
+    host_edges, _, copy_owner, rows = _gadget_layout(g, (0,) * g.vertex_count)
+    mate = _hopcroft_karp(rows, len(copy_owner))
+    if -1 in mate:
+        # Both sides have one node per host edge, so an unmatched edge node
+        # is the least uncovered node.
+        m = len(host_edges)
+        matched = set(mate)
+        uncovered = tuple(i for i, t in enumerate(mate) if t == -1) + tuple(
+            m + t for t in range(len(copy_owner)) if t not in matched
         )
-        side = "edge" if uncovered and uncovered[0] < gadget.edge_node_count else "vertex"
         raise GadgetMatchingError(
-            f"gadget matching not perfect; deficient {side}-type nodes: {uncovered}",
+            f"gadget matching not perfect; deficient edge-type nodes: {uncovered}",
             uncovered,
         )
-    o = orientation_from_matching(gadget, matching)
+    o = Orientation(tuple(zip(host_edges, [copy_owner[t] for t in mate])))
     report = verify_balanced(g, o, range(g.vertex_count))
     if not report.passed:
         raise GadgetMatchingError(

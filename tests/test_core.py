@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import is_connected, windows
+from helpers import brute_lemma, is_connected, windows
 from tuttelab import (
     Edge,
     Graph,
@@ -33,8 +33,16 @@ from tuttelab import (
     remove_window_vertices,
     run_layered_matching,
     verify_balanced,
+    verify_expansion_lemma,
 )
-from tuttelab.core import _min_ratios, _piece_cuts, _pieces, finite_cuts, mask_of
+from tuttelab.core import (
+    _min_ratios,
+    _piece_cuts,
+    _pieces,
+    finite_cuts,
+    iter_subsets,
+    mask_of,
+)
 from tuttelab.verifier import _mask_boundary
 
 
@@ -46,6 +54,18 @@ def graphs(draw, min_n=1, max_n=9):
         edges = draw(st.sets(st.sampled_from(pairs)))
     else:
         edges = set()
+    return Graph.from_edges(n, sorted(edges))
+
+
+@st.composite
+def split_graphs(draw, max_n=10):
+    """Hypothesis strategy: a graph on at most max_n vertices whose edges
+    stay inside up to four randomly drawn vertex groups, so it often has
+    many components, interleaved ids and isolated vertices."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    group = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = [p for p in itertools.combinations(range(n), 2) if group[p[0]] == group[p[1]]]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     return Graph.from_edges(n, sorted(edges))
 
 
@@ -266,6 +286,47 @@ class TestClassifyComponents:
             got = [[v for v in range(n) if comp >> v & 1] for comp in finite]
             assert got == expected
         assert candidates == sum(math.comb(n, i) for i in range(max_x + 1))
+
+    @given(split_graphs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_cuts_agree_with_adjacency_search(self, g, data):
+        # On a closed window each X searches only the components of g it
+        # touches and takes the others as they are: the list must still be
+        # every component of g - X, by least vertex.
+        n = g.vertex_count
+        max_x = data.draw(st.integers(0, n))
+        w = Window.closed(g)
+        cuts = list(finite_cuts(g, 0, max_x))
+        assert [xs for xs, _, _ in cuts] == list(iter_subsets(range(n), max_x))
+        for xs, xmask, comps in cuts:
+            assert xmask == mask_of(xs)
+            finite, _ = classify_components(w, xs)
+            assert comps == [mask_of(c) for c in finite]
+
+    @given(
+        st.lists(st.integers(3, 5), min_size=2, max_size=3),
+        st.randoms(use_true_random=False),
+        st.integers(0, 2),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lemma_counts_on_closed_disjoint_cycles(self, lengths, rng, delta, max_x):
+        # Cycles on shuffled ids: every cycle X misses is a finite component
+        # with boundary 0 < d, so each X reports a boundary violation per
+        # such cycle, with its 1-based index in least-vertex order.
+        order = list(range(sum(lengths)))
+        rng.shuffle(order)
+        edges, start = [], 0
+        for length in lengths:
+            vs = order[start:start + length]
+            edges += zip(vs, vs[1:] + vs[:1])
+            start += length
+        w = Window.closed(Graph.from_edges(len(order), edges))
+        report = verify_expansion_lemma(w, 2, delta, max_x)
+        assert report == brute_lemma(w, 2, delta, max_x)
+        assert any(
+            v.kind == "boundary" and v.count == len(lengths) for v in report.violations
+        )
 
 
 def naive_pieces(w, max_x):

@@ -15,8 +15,11 @@ open ball, epsilon = 1 (and the lemma's delta = d) is the largest value
 that examines only the X cutting off a finite piece, and epsilon = 3/2
 walks every X; a caterpillar with one frontier end has a piece at every
 leaf (so many that every X is walked), and a comb of frontier vertices
-has three leaf pieces.  Any change to verdicts, witnesses, counts or formatting shows up
-here as a changed digest.
+has three leaf pieces.  The gadget route orients a disconnected graph,
+and a layered run on a cycle enumerates its level 0 check on a closed
+window of two components, walking every X in full at --cert-max-x 2 and
+searching only the component X touches at 1 (the same report).  Any change to verdicts, witnesses, counts or
+formatting shows up here as a changed digest.
 """
 
 import hashlib
@@ -47,6 +50,7 @@ INPUTS = {
     "empty3": lambda: format_graph(Graph.empty(3)),
     "grandparent3": lambda: format_window(grandparent_window(3)),
     "cycle8": lambda: format_graph(fixture("cycle(8)")),
+    "cycle40": lambda: format_graph(fixture("cycle(40)")),
     # 3-regular with one frontier vertex (9): a K4 minus the edge 5-6 hangs
     # off 8, and a K4 on {2,3,4,7} is a finite component of the whole graph.
     "twopieces": lambda: format_window(Window(
@@ -157,6 +161,12 @@ CASES = [
      1, "2a082d13025061a1f1ba1fa15949fe0e6f3ab60527b241d0c9c52260beb95a95"),
     (["verify-tutte", "{comb}", "--epsilon", "1/2", "--k", "1", "--max-x", "3"],
      1, "dd85459584300e0ebf4751660e8f7da3414687fc6a513748e0e2d772621da782"),
+    (["orient", "{triangles}", "--method", "gadget"],
+     0, "dd07cdc4d33180544016f2541e14d671f702ee7cc1526216371fce0de5c31a5e"),
+    (["layered", "{cycle40}", "--epsilon", "1", "--levels", "2", "--cert-max-x", "2"],
+     1, "db0d94a4e6faed68d9545aedb9dddb29e15322b2a9477a21367c88b043011e2e"),
+    (["layered", "{cycle40}", "--epsilon", "1", "--levels", "2", "--cert-max-x", "1"],
+     1, "db0d94a4e6faed68d9545aedb9dddb29e15322b2a9477a21367c88b043011e2e"),
 ]
 
 

@@ -9,6 +9,7 @@ from helpers import brute_hall, random_even_degree_graph
 from tuttelab import (
     Edge,
     GadgetGraph,
+    GadgetMatchingError,
     Graph,
     GroupSpec,
     InputError,
@@ -24,6 +25,7 @@ from tuttelab import (
     orientation_from_matching,
     verify_balanced,
 )
+from tuttelab import orientation
 
 
 @st.composite
@@ -46,6 +48,23 @@ def stubbed_gadgets(draw) -> GadgetGraph:
         spare -= extra
         stubs.append(g.degree(v) % 2 + 2 * extra)
     return build_gadget(g, stubs)
+
+
+@st.composite
+def even_graphs(draw) -> Graph:
+    """Hypothesis strategy: an even-degree graph on at most 10 vertices.
+
+    Its edge set is the symmetric difference of up to 6 random cycles, so
+    degrees run over 0-8, and the graph is often disconnected or has
+    isolated vertices; n = 0 gives the empty graph.
+    """
+    n = draw(st.integers(0, 10))
+    edges: set[Edge] = set()
+    if n >= 3:
+        cycle = st.lists(st.integers(0, n - 1), min_size=3, max_size=n, unique=True)
+        for vs in draw(st.lists(cycle, max_size=6)):
+            edges ^= {Edge.of(a, b) for a, b in zip(vs, vs[1:] + vs[:1])}
+    return Graph.from_edges(n, sorted(edges))
 
 
 def two_triangles() -> Graph:
@@ -171,6 +190,47 @@ class TestBalancedOrientation:
         m = bipartite_max_matching(gad.graph, gad.edge_nodes)
         assert m.size == 4
         assert m.covers(gad.graph)
+
+    @given(even_graphs())
+    @example(Graph.empty(0))
+    @example(Graph.empty(3))
+    @example(fixture("complete(9)"))
+    @example(two_triangles())
+    @settings(max_examples=200, deadline=None)
+    def test_route_matches_the_built_gadget(self, g):
+        # The route never builds the gadget; its orientation is the one read
+        # from Hopcroft-Karp on the built gadget, edge for edge.
+        gad = build_gadget(g)
+        matching = bipartite_max_matching(gad.graph, gad.edge_nodes)
+        expected = orientation_from_matching(gad, matching)
+        assert balanced_orientation_via_gadget(g).heads == expected.heads
+
+    @pytest.mark.parametrize("dropped", [0, 4])
+    def test_unmatched_edge_node_raises(self, monkeypatch, dropped):
+        # A kernel that leaves one edge node unmatched: the error names every
+        # uncovered gadget node, the edge node and its former copy node.
+        g = two_triangles()
+        gad = build_gadget(g)
+        full = bipartite_max_matching(gad.graph, gad.edge_nodes)
+        kept = MatchingState.from_pairs(e for e in full.edges if dropped not in e)
+        uncovered = tuple(
+            v for v in range(gad.graph.vertex_count) if v not in kept.covered
+        )
+        assert len(uncovered) == 2
+        kernel = orientation._hopcroft_karp
+
+        def leaves_one_unmatched(rows, right_count):
+            mate = kernel(rows, right_count)
+            mate[dropped] = -1
+            return mate
+
+        monkeypatch.setattr(orientation, "_hopcroft_karp", leaves_one_unmatched)
+        with pytest.raises(GadgetMatchingError) as caught:
+            balanced_orientation_via_gadget(g)
+        assert str(caught.value) == (
+            f"gadget matching not perfect; deficient edge-type nodes: {uncovered}"
+        )
+        assert caught.value.uncovered == uncovered
 
     def test_round_trip_in_degree_identity(self):
         g = fixture("random_regular(10,4,3)")
