@@ -56,7 +56,6 @@ from .layered import (
     build_nets,
     build_schedule,
     complete_matching,
-    least_extendable_edge,
     net_separation_ok,
     run_layered_matching,
 )
@@ -71,7 +70,6 @@ from .orientation import (
     build_gadget,
     check_gadget_hall_expansion,
     eulerian_orientation,
-    orientation_from_matching,
     verify_balanced,
 )
 

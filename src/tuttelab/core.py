@@ -13,7 +13,10 @@ Each graph question is answered here once: vertex ids by
 :meth:`Graph.vertex_set`, and every enumeration by the bitmask kernels
 :func:`finite_cuts` (over X), :func:`_piece_cuts` (the X that can cut off
 a finite piece, found by :func:`_pieces`), :func:`_connected_sets`
-(connected F) and :func:`_min_ratios` (the least ratio over F).
+(connected F) and :func:`_min_ratios` (the least ratio over F).  Both X
+walks hand the windows with a frontier, and the closed ones where every X
+misses a component of G, to one seeded walk, :func:`_open_cuts`: the only
+code that reuses G's components, searching only from N(X).
 """
 
 from __future__ import annotations
@@ -379,9 +382,9 @@ def _finite_components(
     """Finite components of the subgraph induced on avail that hold a seed.
 
     Each search starts at the least seed left and stops at the first
-    breadth-first layer that touches frontier_mask; no vertex it reached
-    starts another search.  The components come sorted by least vertex,
-    the order of :func:`mask_components`.
+    breadth-first layer that touches frontier_mask (never, when it is 0);
+    no vertex it reached starts another search.  The components come
+    sorted by least vertex, the order of :func:`mask_components`.
     """
     comps = []
     seeds &= avail
@@ -400,7 +403,8 @@ def _finite_components(
         if not layer:
             comps.append(comp)
         seeds &= ~(comp | layer)
-    comps.sort(key=lambda comp: comp & -comp)
+    if len(comps) > 1:
+        comps.sort(key=lambda comp: comp & -comp)
     return comps
 
 
@@ -412,67 +416,24 @@ def finite_cuts(
     X runs over all vertex subsets in (size, lexicographic) order,
     starting with the empty set; the components of each X are listed by
     least vertex.  A component is finite when it contains no vertex of
-    frontier_mask; with frontier_mask 0 every component is, and each X
-    costs one :func:`mask_components` search: of the components of g that
-    X touches when g has more components than max_x (see
-    :func:`_split_cuts`), else of all of g - X.  With a frontier, each X
-    is searched by :func:`_open_cuts`; :func:`_piece_cuts` walks only the
-    X that can leave a finite component.
+    frontier_mask.  On a closed window (frontier_mask 0) whose g has at
+    most max_x components, each X costs one :func:`mask_components`
+    search of all of g - X.  Otherwise, with a frontier or when every X
+    misses a component of g, :func:`_open_cuts` walks the X: it reuses
+    the finite components of g that X misses and searches only from
+    N(X).  :func:`_piece_cuts` walks only the X that can leave a finite
+    component.
     """
     masks = g.neighbor_masks
-    subsets = iter_subsets(range(g.vertex_count), max_x)
-    if frontier_mask:
-        yield from _open_cuts(g, frontier_mask, subsets)
-        return
     full = g.full_mask
-    xs = next(subsets, None)
-    if xs is None:
-        return
-    # X = () comes first, and its components are those of g.
     comps = mask_components(masks, full)
-    yield xs, 0, comps
-    if len(comps) > max_x:
-        yield from _split_cuts(masks, full, comps, subsets)
+    subsets = iter_subsets(range(g.vertex_count), max_x)
+    if frontier_mask or len(comps) > max_x:
+        yield from _open_cuts(g, frontier_mask, comps, subsets)
         return
     for xs in subsets:
         xmask = mask_of(xs)
-        yield xs, xmask, mask_components(masks, full & ~xmask)
-
-
-def _split_cuts(
-    masks: Sequence[int], full: int, comps: list[int], subsets: Iterable[tuple[int, ...]]
-) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
-    """(X, mask of X, component masks of g - X) for each X of subsets, where
-    comps lists the components of g (full), more than any X has vertices.
-
-    Only the components that X touches are searched, in one
-    :func:`mask_components` call; each component X misses is taken as it
-    is, and every X misses at least one.  (An X that touches every
-    component would pay this walk on top of a full search, so
-    :func:`finite_cuts` walks such graphs the plain way.)  The least
-    vertex not yet listed either lies in a component X misses or starts
-    the next component the search found, since the search lists them by
-    least vertex, so the list comes in that order unsorted.
-    """
-    whole = [0] * len(masks)
-    for comp in comps:
-        for v in vertices_of(comp):
-            whole[v] = comp
-    for xs in subsets:
-        xmask = touched = 0
-        for v in xs:
-            xmask |= 1 << v
-            touched |= whole[v]
-        split = iter(mask_components(masks, touched & ~xmask))
-        found = []
-        rest = full & ~xmask
-        while rest:
-            comp = whole[(rest & -rest).bit_length() - 1]
-            if comp & xmask:
-                comp = next(split)
-            found.append(comp)
-            rest &= ~comp
-        yield xs, xmask, found
+        yield xs, xmask, mask_components(masks, full & ~xmask) if xs else comps
 
 
 def _piece_cuts(
@@ -490,15 +451,17 @@ def _piece_cuts(
     least as many X as there are subsets of size <= max_x, all subsets are
     walked instead, as in :func:`finite_cuts`.
     """
+    masks = g.neighbor_masks
     full = g.full_mask
+    comps = mask_components(masks, full)
     pools: dict[int, int] = {}
-    for c, nc in _pieces(g.neighbor_masks, frontier_mask, max_x):
+    for c, nc in _pieces(masks, frontier_mask, max_x):
         pools[nc] = pools.get(nc, 0) | full & ~(c | nc)
     n = g.vertex_count
     walked = sum(_subset_count(pool.bit_count(), max_x - nc.bit_count())
                  for nc, pool in pools.items())
     if walked >= _subset_count(n, max_x):
-        return _open_cuts(g, frontier_mask, iter_subsets(range(n), max_x))
+        return _open_cuts(g, frontier_mask, comps, iter_subsets(range(n), max_x))
     pieces = [(vertices_of(nc), pool) for nc, pool in pools.items()]
 
     def of_size(nverts: tuple[int, ...], pool: int, size: int) -> Iterator[tuple[int, ...]]:
@@ -515,32 +478,53 @@ def _piece_cuts(
             of_size(nverts, pool, size) for nverts, pool in pieces if len(nverts) <= size
         )))
     )
-    return _open_cuts(g, frontier_mask, subsets)
+    return _open_cuts(g, frontier_mask, comps, subsets)
 
 
 def _open_cuts(
-    g: Graph, frontier_mask: int, subsets: Iterable[tuple[int, ...]]
+    g: Graph, frontier_mask: int, comps: list[int], subsets: Iterable[tuple[int, ...]]
 ) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
-    """(X, mask of X, finite component masks of g - X) for each X of subsets.
+    """(X, mask of X, finite component masks of g - X) for each X of subsets,
+    where comps lists the components of g.
 
-    A finite component of g - X either touches N(X) or is a finite
-    component of g that X misses, so only those seeds are searched: N(X)
-    minus X and the least vertex of every finite component of g.
+    A finite component of g - X is either a finite component of g that X
+    misses, taken as it is from ``whole`` (each vertex's component of g),
+    or lies in a component of g that X touches and holds a vertex of N(X);
+    only the latter are searched, from N(X) minus X, by
+    :func:`_finite_components`.  The least vertex not yet listed either
+    lies in a component X misses or starts the next component the search
+    found, which come sorted by least vertex, so the list comes in that
+    order without sorting the components X misses.
     """
     masks = g.neighbor_masks
     full = g.full_mask
-    least = 0
-    for comp in mask_components(masks, full):
+    whole = [0] * len(masks)
+    finite = 0
+    for comp in comps:
         if not comp & frontier_mask:
-            least |= comp & -comp
+            finite |= comp
+        for v in vertices_of(comp):
+            whole[v] = comp
     for xs in subsets:
-        xmask = 0
-        nbrs = least
+        xmask = touched = nbrs = 0
         for v in xs:
             xmask |= 1 << v
+            touched |= whole[v]
             nbrs |= masks[v]
-        avail = full & ~xmask
-        yield xs, xmask, _finite_components(masks, avail, nbrs, frontier_mask)
+        found = _finite_components(masks, full & ~xmask, nbrs, frontier_mask)
+        rest = finite & ~touched
+        if rest:
+            split = iter(found)
+            for comp in found:
+                rest |= comp
+            found = []
+            while rest:
+                comp = whole[(rest & -rest).bit_length() - 1]
+                if comp & xmask:
+                    comp = next(split)
+                found.append(comp)
+                rest &= ~comp
+        yield xs, xmask, found
 
 
 def _pieces(masks: Sequence[int], frontier_mask: int, max_x: int) -> Iterator[tuple[int, int]]:

@@ -154,17 +154,6 @@ def _least_allowed(g: Graph, removed: set[int], x: int) -> int | None:
     return None
 
 
-def least_extendable_edge(g: Graph, x: int) -> Edge:
-    """Least edge at x contained in some perfect matching of g."""
-    g.vertex_set((x,))
-    if not g.adjacency[x]:
-        raise InputError(f"vertex {x} is isolated")
-    u = _least_allowed(g, set(), x)
-    if u is None:
-        raise InputError("graph has no perfect matching")
-    return Edge.of(x, u)
-
-
 @dataclass(frozen=True)
 class LevelCertificate:
     level: int

@@ -42,7 +42,7 @@ from .core import (
     _subset_count,
     iter_subsets,
 )
-from .matching import MatchingState, _hopcroft_karp
+from .matching import _hopcroft_karp
 
 
 class GadgetMatchingError(RuntimeError):
@@ -198,31 +198,6 @@ def build_gadget(g: Graph, stubs: Sequence[int] | None = None) -> GadgetGraph:
         copy_owner=tuple(copy_owner),
         copy_counts=tuple(copy_counts),
     )
-
-
-def orientation_from_matching(gadget: GadgetGraph, m: MatchingState) -> Orientation:
-    """Direct each host edge toward the owner of its matched copy node."""
-    if 2 * m.size != gadget.graph.vertex_count:
-        raise InputError(
-            "matching is not perfect on the gadget "
-            f"({m.size} edges for {gadget.graph.vertex_count} nodes)"
-        )
-    partner: dict[int, int] = {}
-    for e in m.edges:
-        partner[e.u] = e.v
-        partner[e.v] = e.u
-    direction: dict[Edge, int] = {}
-    copies = gadget.copy_nodes
-    for i, host_edge in enumerate(gadget.host_edges):
-        mate = partner.get(i)
-        if mate is None:
-            raise InputError(f"edge node for {host_edge} is unmatched")
-        if mate not in copies:
-            raise InputError(
-                f"edge node for {host_edge} is matched to node {mate}, not a copy"
-            )
-        direction[host_edge] = gadget.owner_of(mate)
-    return Orientation.from_dict(direction)
 
 
 def balanced_orientation_via_gadget(g: Graph) -> Orientation:

@@ -8,6 +8,10 @@ that ``max_matching`` must reproduce edge for edge.  The Tutte and lemma
 oracles walk every X and read its components from ``hull_report``, never
 from the package's X-enumerations.  The Hall oracle scores every F with
 plain Fractions, never the package's owner-set reduction.
+
+Two cross-checks that only tests call live here too: the gadget route's
+reading of a matching as an orientation, and the least extendable edge
+at one vertex.
 """
 
 from __future__ import annotations
@@ -21,11 +25,14 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from tuttelab import (
+    Edge,
     GadgetGraph,
     GadgetHallReport,
     Graph,
     HallSide,
+    InputError,
     MatchingState,
+    Orientation,
     TutteReport,
     Violation,
     Window,
@@ -33,6 +40,7 @@ from tuttelab import (
     max_matching,
 )
 from tuttelab.core import iter_subsets
+from tuttelab.layered import _least_allowed
 
 
 def brute_matching_size(g: Graph) -> int:
@@ -141,6 +149,42 @@ def reference_max_matching(g: Graph) -> MatchingState:
 
     pairs = [(v, mate[v]) for v in range(n) if mate[v] > v]
     return MatchingState.from_pairs(pairs, g)
+
+
+def orientation_from_matching(gadget: GadgetGraph, m: MatchingState) -> Orientation:
+    """Direct each host edge toward the owner of its matched copy node."""
+    if 2 * m.size != gadget.graph.vertex_count:
+        raise InputError(
+            "matching is not perfect on the gadget "
+            f"({m.size} edges for {gadget.graph.vertex_count} nodes)"
+        )
+    partner: dict[int, int] = {}
+    for e in m.edges:
+        partner[e.u] = e.v
+        partner[e.v] = e.u
+    direction: dict[Edge, int] = {}
+    copies = gadget.copy_nodes
+    for i, host_edge in enumerate(gadget.host_edges):
+        mate = partner.get(i)
+        if mate is None:
+            raise InputError(f"edge node for {host_edge} is unmatched")
+        if mate not in copies:
+            raise InputError(
+                f"edge node for {host_edge} is matched to node {mate}, not a copy"
+            )
+        direction[host_edge] = gadget.owner_of(mate)
+    return Orientation.from_dict(direction)
+
+
+def least_extendable_edge(g: Graph, x: int) -> Edge:
+    """Least edge at x contained in some perfect matching of g."""
+    g.vertex_set((x,))
+    if not g.adjacency[x]:
+        raise InputError(f"vertex {x} is isolated")
+    u = _least_allowed(g, set(), x)
+    if u is None:
+        raise InputError("graph has no perfect matching")
+    return Edge.of(x, u)
 
 
 def has_augmenting_path(g: Graph, matching_edges) -> bool:
@@ -300,6 +344,27 @@ def windows(draw, max_n: int) -> Window:
         interior = draw(st.frozensets(st.integers(0, n - 1)))
     stubs = tuple(0 if v in interior else draw(st.integers(0, 3)) for v in range(n))
     return Window(Graph.from_edges(n, sorted(edges)), interior, stubs)
+
+
+def disjoint_union(parts, order) -> Window:
+    """The windows side by side, with vertex i of their concatenation
+    renamed order[i]; interior and stub marks travel with the vertices."""
+    edges, interior, stubs, start = [], set(), [0] * len(order), 0
+    for w in parts:
+        edges += [(order[start + e.u], order[start + e.v]) for e in w.graph.edges()]
+        for v in range(w.graph.vertex_count):
+            if v in w.interior:
+                interior.add(order[start + v])
+            stubs[order[start + v]] = w.external_stubs[v]
+        start += w.graph.vertex_count
+    return Window(Graph.from_edges(len(order), edges), frozenset(interior), tuple(stubs))
+
+
+def shuffled_union(parts, seed: int) -> Window:
+    """:func:`disjoint_union` with ids shuffled by ``random.Random(seed)``."""
+    order = list(range(sum(w.graph.vertex_count for w in parts)))
+    random.Random(seed).shuffle(order)
+    return disjoint_union(parts, order)
 
 
 def is_connected(g: Graph, vertices) -> bool:

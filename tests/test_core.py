@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import brute_lemma, is_connected, windows
+from helpers import (
+    brute_lemma,
+    disjoint_union,
+    is_connected,
+    least_extendable_edge,
+    windows,
+)
 from tuttelab import (
     Edge,
     Graph,
@@ -26,7 +32,6 @@ from tuttelab import (
     format_graph,
     format_window,
     hull_report,
-    least_extendable_edge,
     parse_graph_text,
     parse_window_text,
     remove_vertices,
@@ -341,6 +346,47 @@ def naive_pieces(w, max_x):
             if len(nbrs) <= max_x:
                 found.add((mask_of(cs), mask_of(nbrs)))
     return found
+
+
+@st.composite
+def connected_graphs(draw, max_n=3):
+    """Hypothesis strategy: a connected graph, a random tree plus chords."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = list(itertools.combinations(range(n), 2))
+    edges |= draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(n, sorted(edges))
+
+
+class TestSeededWalk:
+    @given(windows(max_n=4), st.lists(connected_graphs(), max_size=2), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cuts_on_a_window_beside_closed_components(self, w, parts, data):
+        # Ids shuffled, so the components X misses and the pieces of those it
+        # touches interleave; max_x on both sides of the component count,
+        # where a closed window changes walk.
+        parts = [w] + [Window.closed(p) for p in parts]
+        n = sum(p.graph.vertex_count for p in parts)
+        union = disjoint_union(parts, data.draw(st.permutations(range(n))))
+        g = union.graph
+        count = len(connected_components(g))
+        max_x = min(n, max(0, count + data.draw(st.integers(-2, 1))))
+        expected = {
+            xs: [mask_of(c) for c in classify_components(union, xs)[0]]
+            for xs in iter_subsets(range(n), max_x)
+        }
+        every = list(finite_cuts(g, union.frontier_mask, max_x))
+        assert [(xs, xmask) for xs, xmask, _ in every] == [
+            (xs, mask_of(xs)) for xs in expected]
+        assert all(comps == expected[xs] for xs, _, comps in every)
+        if union.frontier_mask:
+            # In (size, lex) order, once each, and every X that leaves a
+            # finite component is walked.
+            walked = list(_piece_cuts(g, union.frontier_mask, max_x))
+            xss = {xs for xs, _, _ in walked}
+            assert [xs for xs, _, _ in walked] == [xs for xs in expected if xs in xss]
+            assert all(comps == expected[xs] for xs, _, comps in walked)
+            assert {xs for xs, comps in expected.items() if comps} <= xss
 
 
 class TestPieces:

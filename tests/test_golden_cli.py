@@ -18,14 +18,19 @@ leaf (so many that every X is walked), and a comb of frontier vertices
 has three leaf pieces.  The gadget route orients a disconnected graph,
 and a layered run on a cycle enumerates its level 0 check on a closed
 window of two components, walking every X in full at --cert-max-x 2 and
-searching only the component X touches at 1 (the same report).  Any change to verdicts, witnesses, counts or
-formatting shows up here as a changed digest.
+searching only the component X touches at 1 (the same report).  An open
+ball beside closed components on shuffled ids has a missed component whose
+least vertex falls between the ball's pieces, so the lemma's ``count=``
+indices pin the order in which reused and searched components are listed.
+Any change to verdicts, witnesses, counts or formatting shows up here as a
+changed digest.
 """
 
 import hashlib
 
 import pytest
 
+from helpers import shuffled_union
 from tuttelab import (
     Graph,
     GroupSpec,
@@ -73,6 +78,15 @@ INPUTS = {
     "comb": lambda: format_window(Window(
         Graph.from_edges(13, [(i, i + 1) for i in range(9)] + [(2, 10), (5, 11), (8, 12)]),
         frozenset({10, 11, 12}), (2,) * 10 + (0,) * 3)),
+    # The free(2) r=2 ball beside complete(5) (and a triangle), ids shuffled
+    # so that K5's least vertex (1) lies above radius-1 vertex 0 and below
+    # the centre (10): X = N(10) lists K5 before the piece {10}, X = N(0)
+    # after the piece {0}.
+    "ballk5": lambda: format_window(shuffled_union(
+        [cayley_ball(GroupSpec.free(2), 2), Window.closed(fixture("complete(5)"))], 0)),
+    "ballk5tri": lambda: format_window(shuffled_union(
+        [cayley_ball(GroupSpec.free(2), 2), Window.closed(fixture("complete(5)")),
+         Window.closed(fixture("cycle(3)"))], 0)),
 }
 
 # (argv with input names in braces, exit code, sha256 of stdout)
@@ -167,6 +181,12 @@ CASES = [
      1, "db0d94a4e6faed68d9545aedb9dddb29e15322b2a9477a21367c88b043011e2e"),
     (["layered", "{cycle40}", "--epsilon", "1", "--levels", "2", "--cert-max-x", "1"],
      1, "db0d94a4e6faed68d9545aedb9dddb29e15322b2a9477a21367c88b043011e2e"),
+    (["verify-tutte", "{ballk5tri}", "--epsilon", "3/2", "--k", "2", "--max-x", "3"],
+     1, "528c809a36f7c22e5644fa35c9fdd54eb331eca36c3e0135ba4eea7aef5ebf4f"),
+    (["verify-tutte", "{ballk5tri}", "--epsilon", "1/2", "--k", "1", "--max-x", "3"],
+     1, "4ad33a45298d1bbecd046af3c5a189e58918c09f68b1c2cc04c9c00534f0db5c"),
+    (["expansion", "{ballk5}", "--lemma", "--degree", "4", "--delta", "2", "--max-x", "4"],
+     1, "dd6823743253f45668fabdcae880212e405ef6fa864e05f1cbe9d9098247737f"),
 ]
 
 

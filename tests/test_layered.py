@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_matching_size, pendant_completion, random_graph, random_tree
+from helpers import (
+    brute_matching_size,
+    least_extendable_edge,
+    pendant_completion,
+    random_graph,
+    random_tree,
+)
 from tuttelab import (
     Edge,
     Graph,
@@ -19,7 +25,6 @@ from tuttelab import (
     fixture,
     has_perfect_matching,
     layered,
-    least_extendable_edge,
     net_separation_ok,
     remove_vertices,
     run_layered_matching,

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import brute_hall, random_even_degree_graph
+from helpers import brute_hall, orientation_from_matching, random_even_degree_graph
 from tuttelab import (
     Edge,
     GadgetGraph,
@@ -22,7 +22,6 @@ from tuttelab import (
     check_gadget_hall_expansion,
     eulerian_orientation,
     fixture,
-    orientation_from_matching,
     verify_balanced,
 )
 from tuttelab import orientation
