@@ -30,7 +30,6 @@ from .generators import (
 from .matching import (
     DeficiencyReport,
     MatchingState,
-    bipartite_max_matching,
     has_perfect_matching,
     is_allowed_edge,
     max_matching,
@@ -61,13 +60,11 @@ from .layered import (
 )
 from .orientation import (
     BalanceReport,
-    GadgetGraph,
     GadgetHallReport,
     GadgetMatchingError,
     HallSide,
     Orientation,
     balanced_orientation_via_gadget,
-    build_gadget,
     check_gadget_hall_expansion,
     eulerian_orientation,
     verify_balanced,

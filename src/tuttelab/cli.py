@@ -230,8 +230,7 @@ def _cmd_orient(args: argparse.Namespace) -> tuple[str, bool]:
 
 def _cmd_gadget_audit(args: argparse.Namespace) -> tuple[str, bool]:
     w = _read_window(args.input)
-    gadget = orientation.build_gadget(w.graph, w.external_stubs)
-    report = orientation.check_gadget_hall_expansion(gadget, args.epsilon, args.max_f)
+    report = orientation.check_gadget_hall_expansion(w, args.epsilon, args.max_f)
     out = [f"Gadget Hall audit (epsilon={report.epsilon}, max_f={report.max_f})"]
     for side in (report.edge_side, report.vertex_side):
         out.append(

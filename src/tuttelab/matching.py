@@ -5,15 +5,15 @@ augmenting paths in an alternating tree, with blossom contraction (O(V^3)
 in the worst case).  Each search works only on the vertices its tree
 reaches: the search state is allocated once per call and reset on the
 tree alone, so on sparse inputs, where most trees stay small, the whole
-matching takes near-linear time.  Bipartite graphs get Hopcroft-Karp,
-whose loop is a private kernel on rows of right-side indices: the
-orientation module's gadget route calls it on rows it computes from the
-host graph, without building a gadget graph.  Both scan vertices and
-sorted adjacency lists in canonical order, so results are reproducible
-run to run.  The Tutte-Berge deficiency is an exhaustive,
-enumeration-based cross-oracle: it never consults the augmenting-path
-machinery.  Its X-enumeration is core's ``finite_cuts``;
-this module imports only core, so the verifier may import the oracles:
+matching takes near-linear time.  Hopcroft-Karp is the gadget route's
+kernel, a private loop on rows of right-side indices: the orientation
+module calls it on rows it computes from the host graph, without
+building a gadget graph.  Both scan vertices and adjacency rows in
+canonical order, so results are reproducible run to run.  The
+Tutte-Berge deficiency is an exhaustive, enumeration-based cross-oracle:
+it never consults the augmenting-path machinery.  Its X-enumeration is
+core's ``finite_cuts``; this module imports only core, so the verifier
+may import the oracles:
 its Tutte check asks :func:`has_perfect_matching` for a certificate when
 k exceeds the window.
 """
@@ -210,29 +210,6 @@ def is_allowed_edge(g: Graph, e: Edge) -> bool:
     if not g.has_edge(e.u, e.v):
         raise InputError(f"edge {e} not in graph")
     return has_perfect_matching(remove_vertices(g, e).graph)
-
-
-def bipartite_max_matching(g: Graph, side: Iterable[int]) -> MatchingState:
-    """Hopcroft-Karp maximum matching for a given bipartition side.
-
-    ``side`` and its complement must both be independent sets; anything
-    else is rejected rather than silently mis-handled.
-    """
-    left = g.vertex_set(side)
-    for e in g.edges():
-        if (e.u in left) == (e.v in left):
-            raise InputError(
-                f"edge {e} does not cross the bipartition; side is invalid"
-            )
-    lefts = sorted(left)
-    rights = sorted(set(range(g.vertex_count)) - left)
-    rindex = {v: i for i, v in enumerate(rights)}
-    adj = [[rindex[u] for u in g.adjacency[v]] for v in lefts]
-    mate_l = _hopcroft_karp(adj, len(rights))
-    pairs = [
-        (lefts[i], rights[mate_l[i]]) for i in range(len(lefts)) if mate_l[i] != -1
-    ]
-    return MatchingState.from_pairs(pairs, g)
 
 
 def _hopcroft_karp(rows: Sequence[Sequence[int]], right_count: int) -> list[int]:

@@ -6,14 +6,14 @@ one node per host edge, deg(v)/2 copy nodes per host vertex, each edge
 node adjacent to every copy of its endpoints.  A perfect matching of the
 gadget directs each host edge toward the vertex owning its matched copy,
 and the in-degree at v is then exactly deg(v)/2.  The two routes validate
-each other.  The gadget route never builds the gadget graph: one layout
-helper gives each edge node's row of copy indices, which
-:func:`build_gadget` turns into edges and the route hands straight to
-matching's Hopcroft-Karp kernel, since the gadget is bipartite by
-construction.
+each other.  No code here builds the gadget graph: one layout helper
+gives each edge node's row of copy indices, which the route hands
+straight to matching's Hopcroft-Karp kernel, since the gadget is
+bipartite by construction, and from which the Hall audit reads the
+gadget's neighborhoods.
 
-For truncation windows the gadget accepts stub counts: copies are
-allocated against degree-plus-stubs (which must be even), i.e. each stub
+The Hall audit reads a truncation window's gadget: copies are allocated
+against degree-plus-stubs (which must be even), i.e. each stub
 contributes half a copy node.  Such gadgets exist for auditing
 neighborhood expansion; they are not perfectly matchable inside the
 truncation, since stub edges have no edge node.
@@ -38,6 +38,7 @@ from .core import (
     Edge,
     Graph,
     InputError,
+    Window,
     _min_ratios,
     _subset_count,
     iter_subsets,
@@ -114,41 +115,6 @@ def verify_balanced(g: Graph, o: Orientation, interior: Iterable[int]) -> Balanc
     return BalanceReport(tuple(bad))
 
 
-@dataclass(frozen=True)
-class GadgetGraph:
-    """Bipartite auxiliary graph whose perfect matchings orient the host.
-
-    Gadget ids: 0..m-1 are edge nodes (host_edges order), m.. are copy
-    nodes grouped by owner vertex in ascending (vertex, index) order.
-    """
-
-    stubs: tuple[int, ...]
-    graph: Graph
-    host_edges: tuple[Edge, ...]
-    copy_owner: tuple[int, ...]
-    copy_counts: tuple[int, ...]
-
-    @property
-    def edge_node_count(self) -> int:
-        return len(self.host_edges)
-
-    @property
-    def copy_node_count(self) -> int:
-        return len(self.copy_owner)
-
-    @property
-    def edge_nodes(self) -> range:
-        return range(self.edge_node_count)
-
-    @property
-    def copy_nodes(self) -> range:
-        return range(self.edge_node_count, self.graph.vertex_count)
-
-    def owner_of(self, node: int) -> int:
-        """Host vertex that a copy node projects to."""
-        return self.copy_owner[node - self.edge_node_count]
-
-
 def _gadget_layout(
     g: Graph, stubs: Sequence[int]
 ) -> tuple[list[Edge], list[int], list[int], list[list[int]]]:
@@ -158,11 +124,9 @@ def _gadget_layout(
     Copies are numbered 0.. grouped by owner in ascending (vertex, index)
     order, and the row of host edge u < v lists u's copy indices, then
     v's: the edge node's gadget adjacency, less the edge-node offset.
-    Stubs must be nonnegative and degrees (plus stubs) even.
+    Stubs are nonnegative (a Window's are, and the orientation route
+    passes zeros); degrees plus stubs must be even.
     """
-    negative = [v for v, k in enumerate(stubs) if k < 0]
-    if negative:
-        raise InputError(f"negative stub count at vertex {negative[0]}")
     copy_counts = []
     for v in range(g.vertex_count):
         total = g.degree(v) + stubs[v]
@@ -179,34 +143,13 @@ def _gadget_layout(
     return host_edges, copy_counts, copy_owner, rows
 
 
-def build_gadget(g: Graph, stubs: Sequence[int] | None = None) -> GadgetGraph:
-    """Build the bipartite gadget; stubs must be nonnegative and degrees
-    (plus stubs) even."""
-    if stubs is None:
-        stubs = (0,) * g.vertex_count
-    stubs = tuple(stubs)
-    if len(stubs) != g.vertex_count:
-        raise InputError("stubs must list one count per host vertex")
-    host_edges, copy_counts, copy_owner, rows = _gadget_layout(g, stubs)
-    m = len(host_edges)
-    gadget_edges = [(i, m + t) for i, row in enumerate(rows) for t in row]
-    gadget = Graph.from_edges(m + len(copy_owner), gadget_edges)
-    return GadgetGraph(
-        stubs=stubs,
-        graph=gadget,
-        host_edges=tuple(host_edges),
-        copy_owner=tuple(copy_owner),
-        copy_counts=tuple(copy_counts),
-    )
-
-
 def balanced_orientation_via_gadget(g: Graph) -> Orientation:
     """Orient via a perfect gadget matching; verified balanced on return.
 
     Hopcroft-Karp runs on the gadget's edge-node rows without building the
     gadget: it is bipartite by construction, and the rows are its sorted
-    adjacency, so the matching is that of :func:`bipartite_max_matching`
-    on :func:`build_gadget`'s graph, edge for edge.
+    adjacency, so the matching is that of Hopcroft-Karp on the built
+    gadget graph with the edge nodes as its left side, edge for edge.
     """
     host_edges, _, copy_owner, rows = _gadget_layout(g, (0,) * g.vertex_count)
     mate = _hopcroft_karp(rows, len(copy_owner))
@@ -310,18 +253,23 @@ class GadgetHallReport:
 
 
 def check_gadget_hall_expansion(
-    gadget: GadgetGraph, epsilon: Fraction | int, max_f: int
+    w: Window, epsilon: Fraction | int, max_f: int
 ) -> GadgetHallReport:
-    """Audit |N(F)| >= (1+epsilon)|F| for F on one gadget side at a time.
+    """Audit |N(F)| >= (1+epsilon)|F| for F on one side of w's gadget at a
+    time.
 
-    Neighborhoods are counted literally in the gadget, whatever shape F
-    has.  Vertices at the truncation frontier additionally earn a
-    half-neighbor credit per stub (from ``gadget.stubs``) for
-    vertex-type F, once per owner of F's copy nodes (a stub edge's node
-    lies outside the truncation; crediting half of it mirrors the way
-    boundary edges enter the neighborhood count).  Edge-type F earns no
-    credit: stub halves already entered the copy counts when the gadget
-    was built.  Minima are reported both with and without the credit.
+    The gadget is the one the orientation route matches, with copies
+    allocated against degree plus ``w.external_stubs``; witnesses name
+    its nodes: edge nodes 0..m-1 for the host edges in lex order, then
+    the copy nodes m.., grouped by owner in ascending (vertex, index)
+    order.  Neighborhoods are counted literally in the gadget, whatever
+    shape F has.  Vertices at the truncation frontier additionally earn
+    a half-neighbor credit per stub for vertex-type F, once per owner of
+    F's copy nodes (a stub edge's node lies outside the truncation;
+    crediting half of it mirrors the way boundary edges enter the
+    neighborhood count).  Edge-type F earns no credit: stub halves
+    already entered the copy counts.  Minima are reported both with and
+    without the credit.
 
     Each side is read as runs of twins: the copies of one host vertex
     share their gadget neighbors and their credit, and an edge node is a
@@ -340,22 +288,31 @@ def check_gadget_hall_expansion(
     ball the vertex-side credited minimum is 5/4 at max_f 4-5, 7/6 at 6-7
     and 17/16 at 8-10.
     """
+    # The layout first: an odd degree is named before a bad bound.
+    _, copy_counts, copy_owner, rows = _gadget_layout(w.graph, w.external_stubs)
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise InputError("epsilon must be nonnegative")
     if max_f < 1:
         raise InputError("max_f must be positive")
-    masks = gadget.graph.neighbor_masks
+    # The gadget's neighbor masks, read off the rows: edge node i is joined
+    # to copy node m + t for each t in its row.
+    m = len(rows)
+    masks = [0] * (m + len(copy_owner))
+    for i, row in enumerate(rows):
+        for t in row:
+            masks[i] |= 1 << (m + t)
+            masks[m + t] |= 1 << i
     # Runs of twins, as tuples of ascending node ids: one per edge node,
     # and the copies of each host vertex that has any.
-    edge_runs = [(node,) for node in gadget.edge_nodes]
+    edge_runs = [(node,) for node in range(m)]
     copy_runs = []
-    credit = [0] * gadget.graph.vertex_count
-    start = gadget.edge_node_count
-    for v, count in enumerate(gadget.copy_counts):
+    credit = [0] * len(masks)
+    start = m
+    for v, count in enumerate(copy_counts):
         if count:
             copy_runs.append(tuple(range(start, start + count)))
-            credit[start] = gadget.stubs[v]
+            credit[start] = w.external_stubs[v]
         start += count
 
     def candidates(runs: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:

@@ -9,9 +9,11 @@ oracles walk every X and read its components from ``hull_report``, never
 from the package's X-enumerations.  The Hall oracle scores every F with
 plain Fractions, never the package's owner-set reduction.
 
-Two cross-checks that only tests call live here too: the gadget route's
-reading of a matching as an orientation, and the least extendable edge
-at one vertex.
+The cross-checks that only tests call live here too: the bipartite
+gadget built as a graph from its definition (the package only lays out
+its rows), Hopcroft-Karp on a graph with a given side, the gadget
+route's reading of a matching as an orientation, and the least
+extendable edge at one vertex.
 """
 
 from __future__ import annotations
@@ -19,14 +21,15 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter, deque
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from hypothesis import strategies as st
 
 from tuttelab import (
     Edge,
-    GadgetGraph,
     GadgetHallReport,
     Graph,
     HallSide,
@@ -41,6 +44,7 @@ from tuttelab import (
 )
 from tuttelab.core import iter_subsets
 from tuttelab.layered import _least_allowed
+from tuttelab.matching import _hopcroft_karp
 
 
 def brute_matching_size(g: Graph) -> int:
@@ -148,6 +152,98 @@ def reference_max_matching(g: Graph) -> MatchingState:
             augment_from(root)
 
     pairs = [(v, mate[v]) for v in range(n) if mate[v] > v]
+    return MatchingState.from_pairs(pairs, g)
+
+
+@dataclass(frozen=True)
+class GadgetGraph:
+    """Bipartite auxiliary graph whose perfect matchings orient the host.
+
+    Gadget ids: 0..m-1 are edge nodes (host_edges order), m.. are copy
+    nodes grouped by owner vertex in ascending (vertex, index) order.
+    """
+
+    stubs: tuple[int, ...]
+    graph: Graph
+    host_edges: tuple[Edge, ...]
+    copy_owner: tuple[int, ...]
+    copy_counts: tuple[int, ...]
+
+    @property
+    def edge_node_count(self) -> int:
+        return len(self.host_edges)
+
+    @property
+    def copy_node_count(self) -> int:
+        return len(self.copy_owner)
+
+    @property
+    def edge_nodes(self) -> range:
+        return range(self.edge_node_count)
+
+    @property
+    def copy_nodes(self) -> range:
+        return range(self.edge_node_count, self.graph.vertex_count)
+
+    def owner_of(self, node: int) -> int:
+        """Host vertex that a copy node projects to."""
+        return self.copy_owner[node - self.edge_node_count]
+
+
+def build_gadget(g: Graph, stubs=None) -> GadgetGraph:
+    """Build the bipartite gadget from its definition: one node per host
+    edge, (degree + stubs)/2 copies per host vertex, and each edge node
+    joined to every copy of both its endpoints.  Stubs must be nonnegative
+    and degrees (plus stubs) even.  Nothing is read from the package's
+    gadget layout, so the gadget route and the Hall audit are checked
+    against this numbering, not their own.
+    """
+    if stubs is None:
+        stubs = (0,) * g.vertex_count
+    stubs = tuple(stubs)
+    if len(stubs) != g.vertex_count:
+        raise InputError("stubs must list one count per host vertex")
+    negative = [v for v, k in enumerate(stubs) if k < 0]
+    if negative:
+        raise InputError(f"negative stub count at vertex {negative[0]}")
+    copy_counts = []
+    for v in range(g.vertex_count):
+        total = g.degree(v) + stubs[v]
+        if total % 2 != 0:
+            raise InputError(f"vertex {v} has odd degree {total}")
+        copy_counts.append(total // 2)
+    host_edges = tuple(g.edges())
+    copy_owner = tuple(v for v, c in enumerate(copy_counts) for _ in range(c))
+    copies = [[] for _ in range(g.vertex_count)]
+    for node, v in enumerate(copy_owner, len(host_edges)):
+        copies[v].append(node)
+    gadget_edges = [
+        (i, node) for i, e in enumerate(host_edges) for v in e for node in copies[v]
+    ]
+    gadget = Graph.from_edges(len(host_edges) + len(copy_owner), gadget_edges)
+    return GadgetGraph(stubs, gadget, host_edges, copy_owner, tuple(copy_counts))
+
+
+def bipartite_max_matching(g: Graph, side: Iterable[int]) -> MatchingState:
+    """Hopcroft-Karp maximum matching for a given bipartition side.
+
+    ``side`` and its complement must both be independent sets; anything
+    else is rejected rather than silently mis-handled.
+    """
+    left = g.vertex_set(side)
+    for e in g.edges():
+        if (e.u in left) == (e.v in left):
+            raise InputError(
+                f"edge {e} does not cross the bipartition; side is invalid"
+            )
+    lefts = sorted(left)
+    rights = sorted(set(range(g.vertex_count)) - left)
+    rindex = {v: i for i, v in enumerate(rights)}
+    adj = [[rindex[u] for u in g.adjacency[v]] for v in lefts]
+    mate_l = _hopcroft_karp(adj, len(rights))
+    pairs = [
+        (lefts[i], rights[mate_l[i]]) for i in range(len(lefts)) if mate_l[i] != -1
+    ]
     return MatchingState.from_pairs(pairs, g)
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from helpers import (
     brute_matching_size,
+    build_gadget,
     pendant_completion,
     random_connected_graph,
     random_even_degree_graph,
@@ -21,7 +22,6 @@ from tuttelab import (
     GroupSpec,
     Window,
     balanced_orientation_via_gadget,
-    build_gadget,
     build_nets,
     build_schedule,
     cayley_ball,
@@ -217,8 +217,7 @@ def test_criterion_6_orientation_equivalence():
 
 def test_criterion_7_hall_audit_thresholds():
     w = cayley_ball(GroupSpec.free(2), 2)
-    gadget = build_gadget(w.graph, w.external_stubs)
-    report = check_gadget_hall_expansion(gadget, Fraction(1, 5), 4)
+    report = check_gadget_hall_expansion(w, Fraction(1, 5), 4)
     threshold = 1 + Fraction(1, 5)
     assert report.edge_side.min_ratio_credited >= threshold
     assert report.vertex_side.min_ratio_credited >= threshold
@@ -227,7 +226,7 @@ def test_criterion_7_hall_audit_thresholds():
     # exactly 1 + 1/4 on the vertex side.
     assert report.vertex_side.min_ratio_credited == Fraction(5, 4)
 
-    control = build_gadget(fixture("cycle(4)"))
+    control = Window.closed(fixture("cycle(4)"))
     neutral = check_gadget_hall_expansion(control, 0, 4)
     # Minimum ratio exactly 1 on the edge side means the audit fails for
     # every positive epsilon.

@@ -228,6 +228,13 @@ class TestGadgetAudit:
         assert code == 0
         assert "verdict=pass verdict_raw=fail" in out
 
+    def test_odd_degree_is_named_before_the_bound(self, capsys, star3_file):
+        # Both faults at once: the odd degree is reported, not max_f.
+        code, out, err = run_cli(
+            capsys, "gadget-audit", star3_file, "--epsilon", "1/5", "--max-f", "0"
+        )
+        assert (code, out, err) == (2, "", "error: vertex 0 has odd degree 3\n")
+
 
 class TestThreadCap:
     def test_invalid_cap_rejected(self, capsys, cycle4_file, monkeypatch):

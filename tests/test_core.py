@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
+    bipartite_max_matching,
     brute_lemma,
     disjoint_union,
     is_connected,
@@ -20,7 +21,6 @@ from tuttelab import (
     InputError,
     NetLevels,
     Window,
-    bipartite_max_matching,
     build_schedule,
     cayley_ball,
     classify_components,

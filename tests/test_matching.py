@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    bipartite_max_matching,
     brute_matching_size,
     has_augmenting_path,
     random_graph,
@@ -16,7 +17,6 @@ from tuttelab import (
     Graph,
     InputError,
     MatchingState,
-    bipartite_max_matching,
     fixture,
     has_perfect_matching,
     is_allowed_edge,

@@ -5,19 +5,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import brute_hall, orientation_from_matching, random_even_degree_graph
+from helpers import (
+    bipartite_max_matching,
+    brute_hall,
+    build_gadget,
+    orientation_from_matching,
+    random_even_degree_graph,
+)
 from tuttelab import (
     Edge,
-    GadgetGraph,
     GadgetMatchingError,
     Graph,
     GroupSpec,
     InputError,
     MatchingState,
     Orientation,
+    Window,
     balanced_orientation_via_gadget,
-    bipartite_max_matching,
-    build_gadget,
     cayley_ball,
     check_gadget_hall_expansion,
     eulerian_orientation,
@@ -27,14 +31,19 @@ from tuttelab import (
 from tuttelab import orientation
 
 
-@st.composite
-def stubbed_gadgets(draw) -> GadgetGraph:
-    """Hypothesis strategy: a gadget on at most 6 host vertices and 4 edges.
+def stubbed(g: Graph, stubs) -> Window:
+    """The window on g with these stubs; the vertices without any are interior."""
+    return Window(g, frozenset(v for v, k in enumerate(stubs) if not k), tuple(stubs))
 
-    Each vertex draws 0-3 extra copies (2-6 extra stubs, on top of one
-    that makes its degree even), at most 5 in all, so edgeless vertices
-    carry runs of up to 3 copies with no gadget neighbor, and a vertex
-    that draws none while edgeless has no copy at all.
+
+@st.composite
+def stubbed_windows(draw) -> Window:
+    """Hypothesis strategy: a window on at most 6 vertices and 4 edges.
+
+    Each vertex draws 0-3 extra gadget copies (2-6 extra stubs, on top of
+    one that makes its degree even), at most 5 in all, so edgeless
+    vertices carry runs of up to 3 copies with no gadget neighbor, and a
+    vertex that draws none while edgeless has no copy at all.
     """
     n = draw(st.integers(0, 6))
     pairs = list(itertools.combinations(range(n), 2))
@@ -46,7 +55,7 @@ def stubbed_gadgets(draw) -> GadgetGraph:
         extra = draw(st.integers(0, min(3, spare)))
         spare -= extra
         stubs.append(g.degree(v) % 2 + 2 * extra)
-    return build_gadget(g, stubs)
+    return stubbed(g, stubs)
 
 
 @st.composite
@@ -300,18 +309,17 @@ class TestVerifyBalanced:
 
 class TestHallAudit:
     def test_cycle4_fails_for_positive_epsilon(self):
-        gad = build_gadget(fixture("cycle(4)"))
+        w = Window.closed(fixture("cycle(4)"))
         for eps in (Fraction(1, 10), Fraction(1, 100), Fraction(1)):
-            rep = check_gadget_hall_expansion(gad, eps, 4)
+            rep = check_gadget_hall_expansion(w, eps, 4)
             assert not rep.passed
-        rep = check_gadget_hall_expansion(gad, 0, 4)
+        rep = check_gadget_hall_expansion(w, 0, 4)
         assert rep.passed
         assert rep.edge_side.min_ratio == 1
 
     def test_free_ball_passes_credited(self):
         w = cayley_ball(GroupSpec.free(2), 2)
-        gad = build_gadget(w.graph, w.external_stubs)
-        rep = check_gadget_hall_expansion(gad, Fraction(1, 5), 4)
+        rep = check_gadget_hall_expansion(w, Fraction(1, 5), 4)
         assert rep.passed
         assert not rep.passed_raw
         assert rep.edge_side.min_ratio_credited == Fraction(5, 2)
@@ -321,8 +329,7 @@ class TestHallAudit:
         assert rep.vertex_side.min_ratio == Fraction(1, 2)
 
     def test_single_edge_node_ratio_at_least_two(self):
-        gad = build_gadget(fixture("complete(5)"))
-        rep = check_gadget_hall_expansion(gad, 0, 1)
+        rep = check_gadget_hall_expansion(Window.closed(fixture("complete(5)")), 0, 1)
         assert rep.edge_side.min_ratio >= 2
 
     def test_vertex_type_count_identity_on_window(self):
@@ -374,7 +381,7 @@ class TestHallAudit:
             cases.append((g, stubs, rng.randint(1, 5)))
         for g, stubs, max_f in cases:
             gad = build_gadget(g, stubs)
-            rep = check_gadget_hall_expansion(gad, 0, max_f)
+            rep = check_gadget_hall_expansion(stubbed(g, stubs), 0, max_f)
             for side, nodes in ((rep.edge_side, gad.edge_nodes),
                                 (rep.vertex_side, gad.copy_nodes)):
                 scored = []
@@ -399,22 +406,23 @@ class TestHallAudit:
                     assert witness == next(e[2] for e in scored if e[pos] == best)
 
     @given(
-        stubbed_gadgets(),
+        stubbed_windows(),
         st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(1)]),
         st.integers(1, 6),
     )
     # Vertex 3 is edgeless: with stubs its copies have no gadget neighbor,
     # so every F of them ties at 0 and the least size wins; without stubs
     # it has no copy, and the ends of the path 0-2-1 get two copies each.
-    @example(build_gadget(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]), (0, 0, 0, 6)),
+    @example(stubbed(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]), (0, 0, 0, 6)),
              Fraction(1, 5), 2)
-    @example(build_gadget(Graph.from_edges(4, [(0, 2), (1, 2)]), (3, 3, 0, 0)),
+    @example(stubbed(Graph.from_edges(4, [(0, 2), (1, 2)]), (3, 3, 0, 0)),
              Fraction(1, 5), 3)
     @settings(max_examples=150, deadline=None)
-    def test_matches_all_subsets_oracle(self, gad, epsilon, max_f):
-        # Field for field: both minima, their witnesses and checked.
-        assert check_gadget_hall_expansion(gad, epsilon, max_f) == brute_hall(
-            gad, epsilon, max_f
+    def test_matches_all_subsets_oracle(self, w, epsilon, max_f):
+        # Field for field: both minima, their witnesses and checked, against
+        # the gadget built from its definition.
+        assert check_gadget_hall_expansion(w, epsilon, max_f) == brute_hall(
+            build_gadget(w.graph, w.external_stubs), epsilon, max_f
         )
 
     @pytest.mark.parametrize("max_f, value, witness, owners", [
@@ -427,15 +435,28 @@ class TestHallAudit:
         # vertex 1 and of two, then all three, of its frontier children.
         w = cayley_ball(GroupSpec.free(2), 2)
         gad = build_gadget(w.graph, w.external_stubs)
-        side = check_gadget_hall_expansion(gad, 0, max_f).vertex_side
+        side = check_gadget_hall_expansion(w, 0, max_f).vertex_side
         assert (side.min_ratio_credited, side.witness_credited) == (value, witness)
         assert {gad.owner_of(node) for node in witness} == owners
         assert all(list(w.graph.adjacency[v]) == [1] for v in owners - {1})
 
     def test_negative_epsilon_rejected(self):
-        gad = build_gadget(fixture("cycle(4)"))
+        w = Window.closed(fixture("cycle(4)"))
         with pytest.raises(InputError):
-            check_gadget_hall_expansion(gad, Fraction(-1, 2), 2)
+            check_gadget_hall_expansion(w, Fraction(-1, 2), 2)
+
+    def test_nonpositive_bound_rejected(self):
+        w = Window.closed(fixture("cycle(4)"))
+        with pytest.raises(InputError, match="^max_f must be positive$"):
+            check_gadget_hall_expansion(w, 0, 0)
+
+    @pytest.mark.parametrize("max_f", [4, 0])
+    def test_odd_degree_rejected_first(self, max_f):
+        # Vertex 0 of a triangle carries one stub: degree plus stubs is 3.
+        # The odd degree is named even when the bound is bad too.
+        w = Window(fixture("cycle(3)"), frozenset({1, 2}), (1, 0, 0))
+        with pytest.raises(InputError, match="^vertex 0 has odd degree 3$"):
+            check_gadget_hall_expansion(w, Fraction(1, 5), max_f)
 
 
 class TestBothRoutesAgree:
