@@ -7,12 +7,8 @@ from .core import (
     InputError,
     Subgraph,
     Window,
-    classify_components,
-    connected_components,
-    distance,
     format_graph,
     format_window,
-    parse_graph_text,
     parse_window_text,
     remove_vertices,
     remove_window_vertices,
@@ -37,14 +33,11 @@ from .matching import (
 )
 from .verifier import (
     ExpansionReport,
-    HullReport,
     TutteReport,
     Violation,
     check_tutte_eps_k,
-    edge_boundary,
     epsilon_from_delta,
     expansion_constant,
-    hull_report,
     verify_expansion_lemma,
 )
 from .layered import (
@@ -54,8 +47,6 @@ from .layered import (
     Schedule,
     build_nets,
     build_schedule,
-    complete_matching,
-    net_separation_ok,
     run_layered_matching,
 )
 from .orientation import (

@@ -16,7 +16,10 @@ a finite piece, found by :func:`_pieces`), :func:`_connected_sets`
 (connected F) and :func:`_min_ratios` (the least ratio over F).  Both X
 walks hand the windows with a frontier, and the closed ones where every X
 misses a component of G, to one seeded walk, :func:`_open_cuts`: the only
-code that reuses G's components, searching only from N(X).
+code that reuses G's components, searching only from N(X).  These kernels
+are the package's only component search; a single X, such as the empty
+one a layered certificate asks about, is the first item of
+:func:`finite_cuts` with ``max_x = 0``.
 """
 
 from __future__ import annotations
@@ -238,71 +241,6 @@ def remove_window_vertices(w: Window, removed: Iterable[int]) -> Subgraph:
     )
     stubs = tuple(w.external_stubs[v] for v in sub.original_ids)
     return Subgraph(Window(sub.graph, interior, stubs), sub.original_ids)
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex sets of the connected components.
-
-    Blocks are sorted internally and ordered by least vertex id, so the
-    partition is deterministic.
-    """
-    return classify_components(Window.closed(g), ())[0]
-
-
-def distance(g: Graph, u: int, v: int) -> int | None:
-    """Hop count of a shortest u-v path, or None when unreachable."""
-    g.vertex_set((u, v))
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in g.adjacency[x]:
-            if y not in dist:
-                if y == v:
-                    return dist[x] + 1
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return None
-
-
-def classify_components(
-    w: Window, x: Iterable[int]
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Components of ``w.graph - x`` split into (finite, infinite).
-
-    A component containing any frontier vertex is classified infinite;
-    every other component is finite.  Both lists are ordered by least
-    vertex id, members sorted.  The one-off query for one X (used by
-    ``hull_report``), in O(n + m) memory; enumerations use :func:`finite_cuts`.
-    """
-    xset = w.graph.vertex_set(x)
-    frontier = w.frontier
-    finite: list[list[int]] = []
-    infinite: list[list[int]] = []
-    seen = [False] * w.graph.vertex_count
-    for v in xset:
-        seen[v] = True
-    for start in range(w.graph.vertex_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block = [start]
-        queue = deque([start])
-        touches_frontier = start in frontier
-        while queue:
-            a = queue.popleft()
-            for b in w.graph.adjacency[a]:
-                if not seen[b]:
-                    seen[b] = True
-                    block.append(b)
-                    queue.append(b)
-                    if b in frontier:
-                        touches_frontier = True
-        block.sort()
-        (infinite if touches_frontier else finite).append(block)
-    return finite, infinite
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +758,3 @@ def parse_window_text(text: str) -> Window:
             raise InputError("stub lines require an interior line")
         return Window.closed(graph)
     return Window(graph, interior, tuple(stubs))
-
-
-def parse_graph_text(text: str) -> Graph:
-    return parse_window_text(text).graph

@@ -8,13 +8,13 @@ least incident edge whose removal (with both endpoints) keeps the
 remaining graph perfectly matchable.  Endpoints are removed immediately,
 so every later choice is validated against the current graph; the
 distance separation that justifies simultaneous choices in the infinite
-setting is still certified, just not relied on.
+setting holds by the nets' construction, but is not relied on.
 
 After each level the engine records a certificate: the remaining graph
-has no odd finite component, and it passes the quantitative Tutte check
-at (eps_n, f(n)) up to a caller-chosen enumeration bound.  The proofs
-behind those facts are not re-derived; the checks test their conclusions
-directly.
+has no odd finite component (read from core's ``finite_cuts`` at the
+empty X), and it passes the quantitative Tutte check at (eps_n, f(n)) up
+to a caller-chosen enumeration bound.  The proofs behind those facts are
+not re-derived; the checks test their conclusions directly.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import Edge, Graph, InputError, Window, distance
+from .core import Edge, Graph, InputError, Window, finite_cuts
 from .core import remove_vertices, remove_window_vertices
-from .matching import MatchingState, has_perfect_matching, max_matching
-from .verifier import TutteReport, check_tutte_eps_k, hull_report
+from .matching import MatchingState, has_perfect_matching
+from .verifier import TutteReport, check_tutte_eps_k
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,17 @@ def _least_allowed(g: Graph, removed: set[int], x: int) -> int | None:
 
 @dataclass(frozen=True)
 class LevelCertificate:
+    """What level ``level`` chose and what was checked on the graph it left.
+
+    The checks run on the level window: the input window minus every
+    vertex covered so far, its vertices renumbered in ascending order of
+    their input ids (as :func:`remove_window_vertices` does).
+    ``odd_component_count`` counts the odd finite components of that
+    window, and ``tutte`` names its vertices (violation witnesses) by the
+    level window's ids; they are not mapped back to the input window.
+    ``chosen_edges`` and ``failed_vertices`` use the input window's ids.
+    """
+
     level: int
     f_n: int
     eps_n: Fraction
@@ -232,13 +243,15 @@ def run_layered_matching(
             matched.append(e)
             covered.update((x, u))
         current = remove_window_vertices(w, covered).window
+        # The empty X is the only X of size 0: its finite components are G's.
+        _, _, finite = next(finite_cuts(current.graph, current.frontier_mask, 0))
         certificates.append(
             LevelCertificate(
                 level=level_idx,
                 f_n=f_n,
                 eps_n=eps_n,
                 chosen_edges=tuple(chosen),
-                odd_component_count=len(hull_report(current, ()).odd_components),
+                odd_component_count=sum(c.bit_count() & 1 for c in finite),
                 tutte=check_tutte_eps_k(current, eps_n, f_n, cert_max_x),
                 failed_vertices=tuple(failed),
             )
@@ -253,30 +266,3 @@ def run_layered_matching(
     else:
         coverage = Fraction(1)
     return RunCertificate(tuple(certificates), matching, coverage)
-
-
-def complete_matching(w: Window, run: RunCertificate) -> MatchingState:
-    """Extend a run's matching greedily to the rest of the closed window.
-
-    Runs a maximum matching on the vertices the layered pass left
-    uncovered and merges; on a perfectly matchable closed window the
-    result covers everything because the layered engine only ever picked
-    edges that preserve perfect matchability.
-    """
-    sub = remove_vertices(w.graph, run.matching.covered)
-    extra = max_matching(sub.graph)
-    pairs = [(a, b) for a, b in run.matching.edges]
-    for e in extra.edges:
-        pairs.append((sub.original_ids[e.u], sub.original_ids[e.v]))
-    return MatchingState.from_pairs(pairs, w.graph)
-
-
-def net_separation_ok(w: Window, nets: NetLevels, schedule: Schedule) -> bool:
-    """Exhaustive recheck that each A_n is f(n)-separated."""
-    for f_n, level in zip(schedule.levels, nets.levels):
-        for i, a in enumerate(level):
-            for b in level[i + 1:]:
-                d = distance(w.graph, a, b)
-                if d is not None and d <= f_n:
-                    return False
-    return True

@@ -34,17 +34,17 @@ estimate; the graph questions behind them are answered in
 :mod:`tuttelab.core`, and the certificate's perfect matching in
 :mod:`tuttelab.matching`.  X runs through core's ``finite_cuts`` (as in the
 Tutte-Berge oracle) or, where only pieces matter, its ``_piece_cuts``, and
-:func:`hull_report` reads one X's components from ``classify_components``.
-The expansion estimate walks connected sets with core's reverse search
-and, like the gadget Hall audit, takes its minimum ratio and witness from
-core's minimum-ratio kernel.
+the hulls are the union of X with those components' masks.  The expansion
+estimate walks connected sets with core's reverse search and, like the
+gadget Hall audit, takes its minimum ratio and witness from core's
+minimum-ratio kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     InputError,
@@ -53,24 +53,12 @@ from .core import (
     _min_ratios,
     _piece_cuts,
     _subset_count,
-    classify_components,
     finite_cuts,
     mask_is_connected,
     mask_of,
     vertices_of,
 )
 from .matching import has_perfect_matching
-
-
-@dataclass(frozen=True)
-class HullReport:
-    """Odd/finite components of G - x and the corresponding hulls."""
-
-    x: tuple[int, ...]
-    odd_components: tuple[tuple[int, ...], ...]
-    finite_components: tuple[tuple[int, ...], ...]
-    hull_odd: frozenset[int]
-    hull_fin: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -125,16 +113,6 @@ def _mask_boundary(masks: Sequence[int], stubs: Sequence[int], f: int) -> int:
         v = low.bit_length() - 1
         count += (masks[v] & ~f).bit_count() + stubs[v]
     return count
-
-
-def hull_report(w: Window, x: Iterable[int]) -> HullReport:
-    """Finite components of w.graph - x by classify_components, and hulls."""
-    xs = tuple(sorted(set(x)))
-    finite = [tuple(c) for c in classify_components(w, xs)[0]]
-    odd = [verts for verts in finite if len(verts) % 2 == 1]
-    hull_odd = frozenset(xs) | {v for c in odd for v in c}
-    hull_fin = frozenset(xs) | {v for c in finite for v in c}
-    return HullReport(xs, tuple(odd), tuple(finite), hull_odd, hull_fin)
 
 
 def check_tutte_eps_k(
@@ -203,12 +181,6 @@ def check_tutte_eps_k(
                     )
                 )
     return TutteReport(epsilon, k, max_x, candidates, tuple(violations))
-
-
-def edge_boundary(w: Window, f: Iterable[int]) -> int:
-    """Edges leaving f, counting external stubs of vertices in f."""
-    fset = w.graph.vertex_set(f)
-    return _mask_boundary(w.graph.neighbor_masks, w.external_stubs, mask_of(fset))
 
 
 def expansion_constant(w: Window, max_f: int) -> ExpansionReport:

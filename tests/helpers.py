@@ -5,14 +5,18 @@ machinery: matching sizes come from a bitmask dynamic program and the
 Berge check walks alternating simple paths by brute force.  The one
 exception is ``reference_max_matching``, the plain O(V^3) blossom search
 that ``max_matching`` must reproduce edge for edge.  The Tutte and lemma
-oracles walk every X and read its components from ``hull_report``, never
-from the package's X-enumerations.  The Hall oracle scores every F with
-plain Fractions, never the package's owner-set reduction.
+oracles walk every X and read its components from ``hull_report``, an
+adjacency-list search (``classify_components``) that shares no code with
+the bitmask kernels, the package's only component search.  The
+Hall oracle scores every F with plain Fractions, never the package's
+owner-set reduction.
 
-The cross-checks that only tests call live here too: the bipartite
-gadget built as a graph from its definition (the package only lays out
-its rows), Hopcroft-Karp on a graph with a given side, the gadget
-route's reading of a matching as an orientation, and the least
+The cross-checks that only tests call live here too: components and
+hulls of G - X for one X, graph distance and the nets' separation
+recheck, the extension of a layered run's matching to a perfect one, the
+bipartite gadget built as a graph from its definition (the package only
+lays out its rows), Hopcroft-Karp on a graph with a given side, the
+gadget route's reading of a matching as an orientation, and the least
 extendable edge at one vertex.
 """
 
@@ -35,12 +39,15 @@ from tuttelab import (
     HallSide,
     InputError,
     MatchingState,
+    NetLevels,
     Orientation,
+    RunCertificate,
+    Schedule,
     TutteReport,
     Violation,
     Window,
-    hull_report,
     max_matching,
+    remove_vertices,
 )
 from tuttelab.core import iter_subsets
 from tuttelab.layered import _least_allowed
@@ -283,6 +290,33 @@ def least_extendable_edge(g: Graph, x: int) -> Edge:
     return Edge.of(x, u)
 
 
+def complete_matching(w: Window, run: RunCertificate) -> MatchingState:
+    """Extend a run's matching greedily to the rest of the closed window.
+
+    Runs a maximum matching on the vertices the layered pass left
+    uncovered and merges; on a perfectly matchable closed window the
+    result covers everything because the layered engine only ever picked
+    edges that preserve perfect matchability.
+    """
+    sub = remove_vertices(w.graph, run.matching.covered)
+    extra = max_matching(sub.graph)
+    pairs = [(a, b) for a, b in run.matching.edges]
+    for e in extra.edges:
+        pairs.append((sub.original_ids[e.u], sub.original_ids[e.v]))
+    return MatchingState.from_pairs(pairs, w.graph)
+
+
+def net_separation_ok(w: Window, nets: NetLevels, schedule: Schedule) -> bool:
+    """Exhaustive recheck that each A_n is f(n)-separated."""
+    for f_n, level in zip(schedule.levels, nets.levels):
+        for i, a in enumerate(level):
+            for b in level[i + 1:]:
+                d = distance(w.graph, a, b)
+                if d is not None and d <= f_n:
+                    return False
+    return True
+
+
 def has_augmenting_path(g: Graph, matching_edges) -> bool:
     """Exhaustive search for an alternating augmenting simple path."""
     mate = {}
@@ -461,6 +495,92 @@ def shuffled_union(parts, seed: int) -> Window:
     order = list(range(sum(w.graph.vertex_count for w in parts)))
     random.Random(seed).shuffle(order)
     return disjoint_union(parts, order)
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Vertex sets of the connected components.
+
+    Blocks are sorted internally and ordered by least vertex id, so the
+    partition is deterministic.
+    """
+    return classify_components(Window.closed(g), ())[0]
+
+
+def distance(g: Graph, u: int, v: int) -> int | None:
+    """Hop count of a shortest u-v path, or None when unreachable."""
+    g.vertex_set((u, v))
+    if u == v:
+        return 0
+    dist = {u: 0}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        for y in g.adjacency[x]:
+            if y not in dist:
+                if y == v:
+                    return dist[x] + 1
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return None
+
+
+def classify_components(
+    w: Window, x: Iterable[int]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Components of ``w.graph - x`` split into (finite, infinite).
+
+    A component containing any frontier vertex is classified infinite;
+    every other component is finite.  Both lists are ordered by least
+    vertex id, members sorted.  The one-off query for one X (used by
+    ``hull_report``), in O(n + m) memory; enumerations use :func:`finite_cuts`.
+    """
+    xset = w.graph.vertex_set(x)
+    frontier = w.frontier
+    finite: list[list[int]] = []
+    infinite: list[list[int]] = []
+    seen = [False] * w.graph.vertex_count
+    for v in xset:
+        seen[v] = True
+    for start in range(w.graph.vertex_count):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        queue = deque([start])
+        touches_frontier = start in frontier
+        while queue:
+            a = queue.popleft()
+            for b in w.graph.adjacency[a]:
+                if not seen[b]:
+                    seen[b] = True
+                    block.append(b)
+                    queue.append(b)
+                    if b in frontier:
+                        touches_frontier = True
+        block.sort()
+        (infinite if touches_frontier else finite).append(block)
+    return finite, infinite
+
+
+@dataclass(frozen=True)
+class HullReport:
+    """Odd/finite components of G - x and the corresponding hulls."""
+
+    x: tuple[int, ...]
+    odd_components: tuple[tuple[int, ...], ...]
+    finite_components: tuple[tuple[int, ...], ...]
+    hull_odd: frozenset[int]
+    hull_fin: frozenset[int]
+
+
+def hull_report(w: Window, x: Iterable[int]) -> HullReport:
+    """Finite components of w.graph - x by classify_components, and hulls."""
+    xs = tuple(sorted(set(x)))
+    finite = [tuple(c) for c in classify_components(w, xs)[0]]
+    odd = [verts for verts in finite if len(verts) % 2 == 1]
+    hull_odd = frozenset(xs) | {v for c in odd for v in c}
+    hull_fin = frozenset(xs) | {v for c in finite for v in c}
+    return HullReport(xs, tuple(odd), tuple(finite), hull_odd, hull_fin)
 
 
 def is_connected(g: Graph, vertices) -> bool:

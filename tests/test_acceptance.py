@@ -12,6 +12,7 @@ from fractions import Fraction
 from helpers import (
     brute_matching_size,
     build_gadget,
+    complete_matching,
     pendant_completion,
     random_connected_graph,
     random_even_degree_graph,
@@ -27,7 +28,6 @@ from tuttelab import (
     cayley_ball,
     check_gadget_hall_expansion,
     check_tutte_eps_k,
-    complete_matching,
     eulerian_orientation,
     fixture,
     format_graph,

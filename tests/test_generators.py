@@ -1,11 +1,11 @@
 import pytest
 
+from helpers import connected_components
 from tuttelab import (
     ActionSpec,
     GroupSpec,
     InputError,
     cayley_ball,
-    connected_components,
     fixture,
     grandparent_window,
     schreier_graph,

@@ -2,14 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     brute_matching_size,
+    complete_matching,
+    disjoint_union,
+    distance,
+    hull_report,
     least_extendable_edge,
+    net_separation_ok,
     pendant_completion,
     random_graph,
     random_tree,
+    windows,
 )
 from tuttelab import (
     Edge,
@@ -20,13 +26,11 @@ from tuttelab import (
     Window,
     build_nets,
     build_schedule,
-    complete_matching,
-    distance,
     fixture,
     has_perfect_matching,
     layered,
-    net_separation_ok,
     remove_vertices,
+    remove_window_vertices,
     run_layered_matching,
 )
 
@@ -323,9 +327,48 @@ class TestLayeredChoicesMatchBruteForce:
         def broken(g):
             raise InputError("oracle failure")
 
-        for name in ("has_perfect_matching", "max_matching"):
-            monkeypatch.setattr(layered, name, broken)
+        monkeypatch.setattr(layered, "has_perfect_matching", broken)
         w = Window(fixture("path(4)"), frozenset({0, 1}), (0, 0, 1, 1))
         nets = build_nets(w, self.SCHEDULE)
         with pytest.raises(InputError, match="oracle failure"):
             run_layered_matching(w, self.SCHEDULE, nets, 2)
+
+
+@st.composite
+def runnable_windows(draw) -> Window:
+    """Up to three windows side by side on shuffled ids.
+
+    The union is open when any part is, and can then hold finite
+    components of G of either parity beside infinite ones, and edgeless
+    frontier vertices.  A closed union gets pendant leaves so that it has
+    a perfect matching, which the engine requires of closed windows.
+    """
+    parts = draw(st.lists(windows(max_n=5), min_size=1, max_size=3))
+    n = sum(w.graph.vertex_count for w in parts)
+    union = disjoint_union(parts, draw(st.permutations(range(n))))
+    if union.is_closed:
+        return Window.closed(pendant_completion(union.graph))
+    return union
+
+
+class TestLevelCertificate:
+    SCHEDULE = hand_schedule(9, (1, 2, 3))
+
+    @given(runnable_windows())
+    @example(disjoint_union([  # an edgeless frontier vertex, a triangle, an edge
+        Window(Graph.empty(1), frozenset(), (2,)),
+        Window.closed(fixture("cycle(3)")),
+        Window.closed(fixture("path(2)")),
+    ], [3, 0, 5, 1, 4, 2]))
+    @example(Window(fixture("path(3)"), frozenset({0, 1}), (0, 0, 1)))
+    @settings(max_examples=150, deadline=None)
+    def test_odd_component_count_matches_oracle(self, w):
+        # Each level's count is that of the adjacency-list oracle on the
+        # level window: the input minus everything covered so far.
+        run = run_layered_matching(w, self.SCHEDULE, build_nets(w, self.SCHEDULE), 1)
+        covered: set[int] = set()
+        for cert in run.levels:
+            covered.update(v for e in cert.chosen_edges for v in e)
+            level_window = remove_window_vertices(w, covered).window
+            expected = len(hull_report(level_window, ()).odd_components)
+            assert cert.odd_component_count == expected
