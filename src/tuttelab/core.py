@@ -27,7 +27,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -475,9 +474,9 @@ def _pieces(masks: Sequence[int], frontier_mask: int, max_x: int) -> Iterator[tu
     {v}; the least undecided vertex of N(C) either joins C or stays out, in
     D, and frontier vertices and ids below v stay out as soon as C touches
     them.  A piece the branch can still reach has N = D plus a vertex cut
-    between C and those blocked vertices in g - D, so the branch ends when
-    |D| plus the least such cut exceeds max_x (Menger: more than max_x - |D|
-    disjoint paths, see :func:`_cut_exceeds`).
+    between C and those blocked vertices in g - D, so the branch ends once
+    more than max_x - |D| disjoint paths between them are found in g - D:
+    each such cut has a vertex on every path (see :func:`_cut_exceeds`).
     """
     for v in range(len(masks)):
         root = 1 << v
@@ -495,8 +494,8 @@ def _pieces(masks: Sequence[int], frontier_mask: int, max_x: int) -> Iterator[tu
                 yield c, out
                 continue
             # Each path leaves C through its own vertex of N(C) - D that has a
-            # neighbour beyond C and D, so the flow runs only when more of
-            # them than the budget exist.
+            # neighbour beyond C and D, so the paths are sought only when more
+            # of them than the budget exist.
             starts = 0
             rest = undecided
             while rest:
@@ -517,76 +516,54 @@ def _pieces(masks: Sequence[int], frontier_mask: int, max_x: int) -> Iterator[tu
 def _cut_exceeds(
     masks: Sequence[int], source: int, starts: int, removed: int, sinks: int, budget: int
 ) -> bool:
-    """True when more than budget paths lead from source to sinks in g - removed.
+    """True when more than budget disjoint paths are found from source to
+    sinks in g - removed, so every vertex cut between them outside source
+    and removed has more than budget vertices: it meets each path at a
+    vertex of its own.
 
-    The paths leave source through starts, its neighbours outside removed,
-    share no vertex outside source, and end at their first vertex of sinks.
-    Each is one augmenting path of a unit-capacity flow on split vertices
-    (in-node 2x, out-node 2x + 1), found by breadth-first search over the
-    residual graph from the source, so the flow is built only on the part
-    of the graph the searches reach.  ``pred[y]`` is the vertex whose
-    out-node feeds y's in-node (-1 for the source), and ``succ[x]`` the
-    vertex x's out-node feeds; y carries a path when it has a pred.
+    The paths leave source through starts, share no vertex outside source,
+    and end at their first vertex of sinks.  They are found greedily: one
+    breadth-first search per start, in ascending order, avoiding ``used``
+    (source, removed and the paths found so far), that stops at the first
+    layer touching sinks.  A search that touches none adds all it reached
+    to ``used``, since none of it can reach a sink.  Greedy paths can be
+    fewer than the most disjoint paths, but not on a forest with a
+    connected source, where the parts beyond distinct starts are disjoint.
     """
-    closed = source | removed
-    pred: dict[int, int] = {}
-    succ: dict[int, int] = {}
-    for _ in range(budget + 1):
-        parent = {}
-        queue = deque()
-        rest = starts
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            y = low.bit_length() - 1
-            if pred.get(y) != -1:
-                parent[2 * y] = -1
-                queue.append(2 * y)
-        end = -1
-        while queue:
-            node = queue.popleft()
-            x = node >> 1
-            steps = []
-            if not node & 1:
-                if x not in pred:
-                    if sinks >> x & 1:
-                        end = node
-                        break
-                    steps.append(node | 1)
-                elif pred[x] != -1:
-                    steps.append(2 * pred[x] + 1)
-            else:
-                if x in pred:
-                    steps.append(node ^ 1)
-                rest = masks[x] & ~closed
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    z = low.bit_length() - 1
-                    if succ.get(x) != z:
-                        steps.append(2 * z)
-            for step in steps:
-                if step not in parent:
-                    parent[step] = node
-                    queue.append(step)
-        if end < 0:
-            return False
-        path = [end]
-        while parent[path[-1]] != -1:
-            path.append(parent[path[-1]])
-        pred[path[-1] >> 1] = -1
-        for a, b in zip(reversed(path), reversed(path[:-1])):
-            x, y = a >> 1, b >> 1
-            if x == y:
-                continue  # an in-out arc of one vertex: pred decides it
-            if a & 1:  # along the edge x -> y
-                succ[x] = y
-                pred[y] = x
-            else:  # back along y -> x: cancel it
-                del succ[y]
-                if pred.get(x) == y:
-                    del pred[x]
-    return True
+    used = source | removed
+    found = 0
+    rest = starts
+    while rest:
+        start = rest & -rest
+        rest ^= start
+        layers = []
+        reached = 0
+        layer = start & ~used
+        while layer and not layer & sinks:
+            reached |= layer
+            layers.append(layer)
+            nxt = 0
+            scan = layer
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                nxt |= masks[low.bit_length() - 1]
+            layer = nxt & ~(used | reached)
+        if not layer:
+            used |= reached
+            continue
+        found += 1
+        if found > budget:
+            return True
+        # Walk back from one sink through one neighbour in each layer.
+        step = layer & sinks
+        step &= -step
+        used |= step
+        for back in reversed(layers):
+            step = back & masks[step.bit_length() - 1]
+            step &= -step
+            used |= step
+    return False
 
 
 def _connected_sets(masks: Sequence[int], pool: int, max_f: int) -> Iterator[int]:

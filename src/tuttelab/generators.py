@@ -61,14 +61,6 @@ class GroupSpec:
     def abelian_grid(cls, dimension: int) -> "GroupSpec":
         return cls("abelian_grid", dimension=dimension)
 
-    def generator_count(self) -> int:
-        """Size of the symmetric generating set, as group elements."""
-        if self.kind == "free":
-            return 2 * self.rank
-        if self.kind == "free_product_cyclic":
-            return sum(1 if m == 2 else 2 for m in self.orders)
-        return 2 * self.dimension
-
     # Normal forms are tuples, comparable within one group:
     #   free:        reduced words of nonzero ints, letter i = generator
     #                |i| with sign for inversion

@@ -13,7 +13,8 @@ owner-set reduction.
 
 The cross-checks that only tests call live here too: components and
 hulls of G - X for one X, graph distance and the nets' separation
-recheck, the extension of a layered run's matching to a perfect one, the
+recheck, small vertex cuts between two sets (the piece search prunes by
+them), the extension of a layered run's matching to a perfect one, the
 bipartite gadget built as a graph from its definition (the package only
 lays out its rows), Hopcroft-Karp on a graph with a given side, the
 gadget route's reading of a matching as an orientation, and the least
@@ -596,6 +597,26 @@ def is_connected(g: Graph, vertices) -> bool:
                 seen.add(u)
                 stack.append(u)
     return seen == vertices
+
+
+def brute_small_cut(g: Graph, source, removed, sinks, budget: int) -> bool:
+    """Whether some set of at most budget vertices outside source and removed
+    separates source from sinks in g - removed: no sink outside the set is
+    reachable from source once the set is removed too."""
+    source, removed, sinks = set(source), set(removed), set(sinks)
+    pool = sorted(set(range(g.vertex_count)) - source - removed)
+    for size in range(budget + 1):
+        for cut in itertools.combinations(pool, size):
+            blocked = removed | set(cut)
+            seen, stack = set(source), list(source)
+            while stack:
+                for u in g.adjacency[stack.pop()]:
+                    if u not in seen and u not in blocked:
+                        seen.add(u)
+                        stack.append(u)
+            if not seen & sinks - blocked:
+                return True
+    return False
 
 
 def brute_tutte(w: Window, epsilon, k: int, max_x: int) -> TutteReport:

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
     bipartite_max_matching,
     brute_lemma,
+    brute_small_cut,
     classify_components,
     connected_components,
     disjoint_union,
@@ -39,6 +40,7 @@ from tuttelab import (
     verify_expansion_lemma,
 )
 from tuttelab.core import (
+    _cut_exceeds,
     _min_ratios,
     _piece_cuts,
     _pieces,
@@ -429,6 +431,61 @@ class TestPieces:
         frontier = 1
         walked = [xs for xs, _, _ in _piece_cuts(g, frontier, 3)]
         assert walked == [xs for xs, _, _ in finite_cuts(g, frontier, 3)]
+
+
+@st.composite
+def trees(draw, max_n=11):
+    """Hypothesis strategy: a tree on 1..max_n vertices with shuffled ids."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    edges = [(order[draw(st.integers(0, v - 1))], order[v]) for v in range(1, n)]
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def cut_cases(draw, graph_strategy):
+    """Hypothesis strategy: a graph, a connected source in it, removed and
+    sinks sets outside the source, and a budget of 0-3."""
+    g = draw(graph_strategy)
+    source = {draw(st.integers(0, g.vertex_count - 1))}
+    for _ in range(draw(st.integers(0, g.vertex_count - 1))):
+        grow = sorted({u for v in source for u in g.adjacency[v]} - source)
+        if not grow:
+            break
+        source.add(draw(st.sampled_from(grow)))
+    rest = sorted(set(range(g.vertex_count)) - source)
+    removed = draw(st.sets(st.sampled_from(rest))) if rest else set()
+    sinks = draw(st.sets(st.sampled_from(rest))) if rest else set()
+    return g, source, removed, sinks, draw(st.integers(0, 3))
+
+
+def cut_exceeds(g, source, removed, sinks, budget):
+    """_cut_exceeds with every neighbour of source outside removed a start."""
+    starts = {u for v in source for u in g.adjacency[v]} - source - removed
+    return _cut_exceeds(
+        g.neighbor_masks, mask_of(source), mask_of(starts), mask_of(removed),
+        mask_of(sinks), budget)
+
+
+class TestCutExceeds:
+    @given(cut_cases(graphs(max_n=9)))
+    # The path from start 1 runs 1-2-3, through start 2; were 2 searched
+    # again, 2-4 would count as a second path past the one-vertex cut {2}.
+    @example((Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4)]),
+              {0}, set(), {3, 4}, 1))
+    @settings(max_examples=1000, deadline=None)
+    def test_never_exceeds_a_cut_within_budget(self, case):
+        # Pruning a piece branch is sound: no cut of at most budget vertices
+        # exists when more than budget paths are reported.
+        if cut_exceeds(*case):
+            assert not brute_small_cut(*case)
+
+    @given(cut_cases(trees()))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_least_cut_on_trees(self, case):
+        # On a forest the greedy paths are as many as the most disjoint
+        # paths, so pruning on the tree-like free-group balls loses nothing.
+        assert cut_exceeds(*case) == (not brute_small_cut(*case))
 
 
 class TestMinRatios:
