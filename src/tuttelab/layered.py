@@ -211,8 +211,11 @@ def run_layered_matching(
     Closed windows must be perfectly matchable up front.  On open windows
     the run proceeds on the truncated graph and simply records a failure
     (and aborts with the partial certificate) at the first net vertex
-    with no extendable edge - such a failure signals a genuine violation
-    of Tutte's condition in the graph the run was given.
+    with no extendable edge.  Such an abort shows only that the truncated
+    graph minus the covered vertices, read as closed, has no perfect
+    matching.  On an open window that need not violate Tutte's condition:
+    frontier vertices, whose other neighbours lie outside the window, can
+    be the cause even when a matching covers every interior vertex.
     """
     if len(nets.levels) != schedule.level_count:
         raise InputError("nets and schedule disagree on the number of levels")

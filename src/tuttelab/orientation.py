@@ -1,16 +1,16 @@
 """Balanced orientations of even-degree graphs, two independent ways.
 
-Route one follows Euler: trace an Euler circuit per component and orient
-edges along the traversal.  Route two goes through a bipartite gadget:
-one node per host edge, deg(v)/2 copy nodes per host vertex, each edge
-node adjacent to every copy of its endpoints.  A perfect matching of the
-gadget directs each host edge toward the vertex owning its matched copy,
-and the in-degree at v is then exactly deg(v)/2.  The two routes validate
-each other.  No code here builds the gadget graph: one layout helper
-gives each edge node's row of copy indices, which the route hands
-straight to matching's Hopcroft-Karp kernel, since the gadget is
-bipartite by construction, and from which the Hall audit reads the
-gadget's neighborhoods.
+Route one follows Euler: Hierholzer's walk directs each edge the way it
+first takes it, which is the direction of its component's Euler circuit.
+Route two goes through a bipartite gadget: one node per host edge,
+deg(v)/2 copy nodes per host vertex, each edge node adjacent to every
+copy of its endpoints.  A perfect matching of the gadget directs each
+host edge toward the vertex owning its matched copy, and the in-degree
+at v is then exactly deg(v)/2.  The two routes validate each other.  No
+code here builds the gadget graph: one layout helper gives each edge
+node's row of copy indices, which the route hands straight to matching's
+Hopcroft-Karp kernel, since the gadget is bipartite by construction, and
+from which the Hall audit reads the gadget's neighborhoods.
 
 The Hall audit reads a truncation window's gadget: copies are allocated
 against degree-plus-stubs (which must be even), i.e. each stub
@@ -177,42 +177,35 @@ def balanced_orientation_via_gadget(g: Graph) -> Orientation:
 def eulerian_orientation(g: Graph) -> Orientation:
     """Orient along an Euler circuit of each component (deterministic).
 
-    Circuits start at the least positive-degree vertex of a component and
-    always leave along the least unused incident edge, so identical
-    inputs produce identical orientations.
+    Hierholzer's walk starts at every vertex in ascending order and always
+    leaves along the least unused incident edge, so identical inputs
+    produce identical orientations.  Each edge is directed the way the
+    walk first takes it: when the walk takes v -> u, u lands directly
+    above v on the stack, and once u is popped the next pop is v itself,
+    because with every degree even a walk restarted from v can get stuck
+    only at v.  The circuit, the pops in reverse order, therefore runs
+    every edge in the direction the walk took it, and need not be traced.
     """
     for v in range(g.vertex_count):
         if g.degree(v) % 2 != 0:
             raise InputError(f"vertex {v} has odd degree {g.degree(v)}")
     adj = g.adjacency
-    used: set[Edge] = set()
     ptr = [0] * g.vertex_count
     direction: dict[Edge, int] = {}
     for start in range(g.vertex_count):
-        if not adj[start] or all(
-            Edge.of(start, u) in used for u in adj[start]
-        ):
-            continue
         stack = [start]
-        trail: list[int] = []
         while stack:
             v = stack[-1]
-            advanced = False
             while ptr[v] < len(adj[v]):
                 u = adj[v][ptr[v]]
                 e = Edge.of(v, u)
-                if e in used:
-                    ptr[v] += 1
-                    continue
-                used.add(e)
-                stack.append(u)
-                advanced = True
-                break
-            if not advanced:
-                trail.append(stack.pop())
-        circuit = trail[::-1]
-        for a, b in zip(circuit, circuit[1:]):
-            direction[Edge.of(a, b)] = b
+                if e not in direction:
+                    direction[e] = u
+                    stack.append(u)
+                    break
+                ptr[v] += 1
+            else:
+                stack.pop()
     return Orientation.from_dict(direction)
 
 

@@ -17,8 +17,8 @@ recheck, small vertex cuts between two sets (the piece search prunes by
 them), the extension of a layered run's matching to a perfect one, the
 bipartite gadget built as a graph from its definition (the package only
 lays out its rows), Hopcroft-Karp on a graph with a given side, the
-gadget route's reading of a matching as an orientation, and the least
-extendable edge at one vertex.
+gadget route's reading of a matching as an orientation, the Euler route
+read off a traced circuit, and the least extendable edge at one vertex.
 """
 
 from __future__ import annotations
@@ -277,6 +277,39 @@ def orientation_from_matching(gadget: GadgetGraph, m: MatchingState) -> Orientat
                 f"edge node for {host_edge} is matched to node {mate}, not a copy"
             )
         direction[host_edge] = gadget.owner_of(mate)
+    return Orientation.from_dict(direction)
+
+
+def circuit_trace_orientation(g: Graph) -> Orientation:
+    """Orient along the Euler circuits that Hierholzer's algorithm traces.
+
+    Starts at the least vertex with an unused edge, always leaves along
+    the least unused edge, builds each circuit from the pops in reverse
+    order, and directs every edge along it; ``eulerian_orientation`` must
+    give the same heads without tracing a circuit.
+    """
+    adj = g.adjacency
+    used: set[Edge] = set()
+    ptr = [0] * g.vertex_count
+    direction: dict[Edge, int] = {}
+    for start in range(g.vertex_count):
+        if all(Edge.of(start, u) in used for u in adj[start]):
+            continue
+        stack = [start]
+        trail: list[int] = []
+        while stack:
+            v = stack[-1]
+            while ptr[v] < len(adj[v]) and Edge.of(v, adj[v][ptr[v]]) in used:
+                ptr[v] += 1
+            if ptr[v] == len(adj[v]):
+                trail.append(stack.pop())
+                continue
+            u = adj[v][ptr[v]]
+            used.add(Edge.of(v, u))
+            stack.append(u)
+        circuit = trail[::-1]
+        for a, b in zip(circuit, circuit[1:]):
+            direction[Edge.of(a, b)] = b
     return Orientation.from_dict(direction)
 
 

@@ -15,8 +15,10 @@ open ball, epsilon = 1 (and the lemma's delta = d) is the largest value
 that examines only the X cutting off a finite piece, and epsilon = 3/2
 walks every X; a caterpillar with one frontier end has a piece at every
 leaf (so many that every X is walked), and a comb of frontier vertices
-has three leaf pieces.  The gadget route orients a disconnected graph,
-and a layered run on a cycle enumerates its level 0 check on a closed
+has three leaf pieces.  The Euler route's walk closes sub-circuits and
+resumes from the stack on a 4-regular graph, and starts once per
+component on two triangles, which pins the order in which it takes edges.
+The gadget route orients a disconnected graph, and a layered run on a cycle enumerates its level 0 check on a closed
 window of two components, walking every X in full at --cert-max-x 2 and
 searching only the component X touches at 1 (the same report).  An open
 ball beside closed components on shuffled ids has a missed component whose
@@ -129,6 +131,10 @@ CASES = [
      0, "f8e053cfa9fd538fc94676d44a50da3051daee471fac9781db1ff57a9b6f7f73"),
     (["orient", "{regular}", "--method", "gadget"],
      0, "82fab1d0d77d2b1d6822adc4d4b158449e36ef80db8a8cafae8f91cb27ea6523"),
+    (["orient", "{regular}", "--method", "euler"],
+     0, "5c94c93c304eacd193080e7cc8e725e92a3c434def1c5af148e398d1a80fecf6"),
+    (["orient", "{triangles}", "--method", "euler"],
+     0, "9a1d538ccb2e69e5166da2b14d7c845faea128127985b0d2b2534de2fc78d04d"),
     (["gadget-audit", "{ball2}", "--epsilon", "1/5", "--max-f", "3"],
      0, "acdc57f529f71488bfbce7b77608e15c2643179e6d4d7a5d9e9431e9fa297f35"),
     (["gadget-audit", "{cycle12}", "--epsilon", "1/10", "--max-f", "3"],

@@ -9,6 +9,7 @@ from helpers import (
     bipartite_max_matching,
     brute_hall,
     build_gadget,
+    circuit_trace_orientation,
     orientation_from_matching,
     random_even_degree_graph,
 )
@@ -277,6 +278,18 @@ class TestEulerianOrientation:
         g = fixture("random_regular(12,4,5)")
         assert eulerian_orientation(g) == eulerian_orientation(g)
 
+    @given(even_graphs())
+    @example(Graph.empty(0))
+    @example(Graph.empty(3))
+    @example(Graph.from_edges(5, [(1, 3), (1, 4), (3, 4)]))
+    @example(fixture("complete(9)"))
+    @example(two_triangles())
+    @settings(max_examples=300, deadline=None)
+    def test_walk_matches_the_circuit_trace(self, g):
+        # The walk directs each edge as it takes it; the traced circuits
+        # run every edge the same way.
+        assert eulerian_orientation(g).heads == circuit_trace_orientation(g).heads
+
 
 class TestVerifyBalanced:
     def test_reversed_edge_breaks_two_vertices(self):
@@ -468,6 +481,7 @@ class TestBothRoutesAgree:
             interior = range(g.vertex_count)
             o1 = eulerian_orientation(g)
             o2 = balanced_orientation_via_gadget(g)
+            assert o1.heads == circuit_trace_orientation(g).heads
             assert verify_balanced(g, o1, interior).passed
             assert verify_balanced(g, o2, interior).passed
             gad = build_gadget(g)
