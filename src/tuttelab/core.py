@@ -654,8 +654,37 @@ def format_window(w: Window) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_edge_lines(n: int, block: Sequence[str]) -> None:
+    """Raise InputError for the first bad edge line of ``block``, if any.
+
+    Each line is checked in turn: two tokens, both integers, both in
+    range, u < v, and not a repeat of an earlier line.
+    """
+    seen: set[tuple[int, int]] = set()
+    for i, line in enumerate(block):
+        lineno = i + 2
+        parts = line.split()
+        if len(parts) != 2:
+            raise InputError(f"line {lineno}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(f"line {lineno}: expected integers 'u v'") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"line {lineno}: vertex out of range")
+        if u >= v:
+            raise InputError(f"line {lineno}: edges must satisfy u < v")
+        if (u, v) in seen:
+            raise InputError(f"line {lineno}: duplicate edge {u} {v}")
+        seen.add((u, v))
+
+
 def parse_window_text(text: str) -> Window:
-    """Parse the edge-list format; raises InputError with a line number."""
+    """Parse the edge-list format; raises InputError with a line number.
+
+    The edge lines are read in one bulk pass and checked as a block; when
+    the block fails, a line-by-line pass names the first bad line.
+    """
     lines = text.splitlines()
     if not lines:
         raise InputError("line 1: empty input")
@@ -670,25 +699,15 @@ def parse_window_text(text: str) -> Window:
         raise InputError("line 1: n and m must be nonnegative")
     if len(lines) < 1 + m:
         raise InputError(f"line {len(lines) + 1}: expected {m} edge lines")
-    edges = []
-    seen: set[tuple[int, int]] = set()
-    for i in range(m):
-        lineno = i + 2
-        parts = lines[1 + i].split()
-        if len(parts) != 2:
-            raise InputError(f"line {lineno}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InputError(f"line {lineno}: expected integers 'u v'") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"line {lineno}: vertex out of range")
-        if u >= v:
-            raise InputError(f"line {lineno}: edges must satisfy u < v")
-        if (u, v) in seen:
-            raise InputError(f"line {lineno}: duplicate edge {u} {v}")
-        seen.add((u, v))
-        edges.append((u, v))
+    block = lines[1 : 1 + m]
+    try:
+        pairs = [(int(a), int(b)) for a, b in map(str.split, block)]
+    except ValueError:  # a wrong token count, or a token that is no integer
+        pairs = None
+    if pairs is None or not (
+        all(0 <= u < v < n for u, v in pairs) and len(set(pairs)) == m
+    ):
+        _check_edge_lines(n, block)
     interior: frozenset[int] | None = None
     stubs = [0] * n
     stub_seen: set[int] = set()
@@ -729,7 +748,13 @@ def parse_window_text(text: str) -> Window:
             stubs[v] = k
         else:
             raise InputError(f"line {lineno}: unrecognized trailing line")
-    graph = Graph.from_edges(n, edges)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        rows[u].append(v)
+        rows[v].append(u)
+    for row in rows:
+        row.sort()
+    graph = Graph(n, tuple(map(tuple, rows)))
     if interior is None:
         if stub_seen:
             raise InputError("stub lines require an interior line")

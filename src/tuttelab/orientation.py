@@ -74,10 +74,6 @@ class Orientation:
             if h not in (e.u, e.v):
                 raise InputError(f"head {h} is not an endpoint of {e}")
 
-    @classmethod
-    def from_dict(cls, direction: dict[Edge, int]) -> "Orientation":
-        return cls(tuple(sorted(direction.items())))
-
     @cached_property
     def _lookup(self) -> dict[Edge, int]:
         return dict(self.heads)
@@ -100,8 +96,13 @@ class BalanceReport:
 
 def verify_balanced(g: Graph, o: Orientation, interior: Iterable[int]) -> BalanceReport:
     """List every interior vertex whose in- and out-degrees differ."""
-    directed = o._lookup
-    if set(directed) != set(g.edges()):
+    # The heads name distinct edges, so they are total exactly when there
+    # are as many as host edges and each is one, in normalized form.
+    adj = g.adjacency
+    n = g.vertex_count
+    if len(o.heads) != g.edge_count or not all(
+        0 <= u < v < n and v in adj[u] for (u, v), _ in o.heads
+    ):
         raise InputError("orientation is not total on the host edge set")
     indeg = [0] * g.vertex_count
     outdeg = [0] * g.vertex_count
@@ -117,7 +118,7 @@ def verify_balanced(g: Graph, o: Orientation, interior: Iterable[int]) -> Balanc
 
 def _gadget_layout(
     g: Graph, stubs: Sequence[int]
-) -> tuple[list[Edge], list[int], list[int], list[list[int]]]:
+) -> tuple[list[Edge], list[int], list[int], list[tuple[int, ...]]]:
     """The host edges in lex order, the copy counts, each copy's owner, and
     each edge node's row.
 
@@ -134,12 +135,10 @@ def _gadget_layout(
             raise InputError(f"vertex {v} has odd degree {total}")
         copy_counts.append(total // 2)
     first_copy = list(accumulate(copy_counts, initial=0))
+    copies = [tuple(range(a, b)) for a, b in zip(first_copy, first_copy[1:])]
     copy_owner = [v for v, c in enumerate(copy_counts) for _ in range(c)]
     host_edges = g.edges()
-    rows = [
-        [*range(first_copy[u], first_copy[u + 1]), *range(first_copy[v], first_copy[v + 1])]
-        for u, v in host_edges
-    ]
+    rows = [copies[u] + copies[v] for u, v in host_edges]
     return host_edges, copy_counts, copy_owner, rows
 
 
@@ -185,28 +184,43 @@ def eulerian_orientation(g: Graph) -> Orientation:
     because with every degree even a walk restarted from v can get stuck
     only at v.  The circuit, the pops in reverse order, therefore runs
     every edge in the direction the walk took it, and need not be traced.
+    Heads are kept in a list indexed by each edge's position in
+    ``g.edges()``, -1 while the edge is unused, and returned in that order.
     """
     for v in range(g.vertex_count):
         if g.degree(v) % 2 != 0:
             raise InputError(f"vertex {v} has odd degree {g.degree(v)}")
     adj = g.adjacency
+    edges = g.edges()
+    # slot[v][j] is the position in ``edges`` of the edge to adj[v][j]: the
+    # rows of v's lesser neighbours reach v in ascending order, before v
+    # lists its greater ones.
+    slot: list[list[int]] = [[] for _ in adj]
+    i = 0
+    for v, row in enumerate(adj):
+        for u in row:
+            if u > v:
+                slot[v].append(i)
+                slot[u].append(i)
+                i += 1
+    heads = [-1] * len(edges)
     ptr = [0] * g.vertex_count
-    direction: dict[Edge, int] = {}
     for start in range(g.vertex_count):
         stack = [start]
         while stack:
             v = stack[-1]
-            while ptr[v] < len(adj[v]):
-                u = adj[v][ptr[v]]
-                e = Edge.of(v, u)
-                if e not in direction:
-                    direction[e] = u
+            row = adj[v]
+            while ptr[v] < len(row):
+                i = slot[v][ptr[v]]
+                if heads[i] < 0:
+                    u = row[ptr[v]]
+                    heads[i] = u
                     stack.append(u)
                     break
                 ptr[v] += 1
             else:
                 stack.pop()
-    return Orientation.from_dict(direction)
+    return Orientation(tuple(zip(edges, heads)))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ recheck, small vertex cuts between two sets (the piece search prunes by
 them), the extension of a layered run's matching to a perfect one, the
 bipartite gadget built as a graph from its definition (the package only
 lays out its rows), Hopcroft-Karp on a graph with a given side, the
-gadget route's reading of a matching as an orientation, the Euler route
-read off a traced circuit, and the least extendable edge at one vertex.
+gadget route's reading of a matching as an orientation (and of a dict of
+heads), the Euler route read off a traced circuit, the edge-list parser
+read line by line, and the least extendable edge at one vertex.
 """
 
 from __future__ import annotations
@@ -255,6 +256,11 @@ def bipartite_max_matching(g: Graph, side: Iterable[int]) -> MatchingState:
     return MatchingState.from_pairs(pairs, g)
 
 
+def orientation_from_dict(direction: dict[Edge, int]) -> Orientation:
+    """The orientation with these heads, its edges in lex order."""
+    return Orientation(tuple(sorted(direction.items())))
+
+
 def orientation_from_matching(gadget: GadgetGraph, m: MatchingState) -> Orientation:
     """Direct each host edge toward the owner of its matched copy node."""
     if 2 * m.size != gadget.graph.vertex_count:
@@ -277,7 +283,7 @@ def orientation_from_matching(gadget: GadgetGraph, m: MatchingState) -> Orientat
                 f"edge node for {host_edge} is matched to node {mate}, not a copy"
             )
         direction[host_edge] = gadget.owner_of(mate)
-    return Orientation.from_dict(direction)
+    return orientation_from_dict(direction)
 
 
 def circuit_trace_orientation(g: Graph) -> Orientation:
@@ -310,7 +316,7 @@ def circuit_trace_orientation(g: Graph) -> Orientation:
         circuit = trail[::-1]
         for a, b in zip(circuit, circuit[1:]):
             direction[Edge.of(a, b)] = b
-    return Orientation.from_dict(direction)
+    return orientation_from_dict(direction)
 
 
 def least_extendable_edge(g: Graph, x: int) -> Edge:
@@ -508,6 +514,93 @@ def windows(draw, max_n: int) -> Window:
         interior = draw(st.frozensets(st.integers(0, n - 1)))
     stubs = tuple(0 if v in interior else draw(st.integers(0, 3)) for v in range(n))
     return Window(Graph.from_edges(n, sorted(edges)), interior, stubs)
+
+
+def reference_parse_window_text(text: str) -> Window:
+    """The edge-list parser read line by line, the reference for
+    ``parse_window_text``: each edge line is checked in turn (token
+    count, integers, range, u < v, duplicate) before the graph is built
+    with ``Graph.from_edges``, so its InputError names the first bad line.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise InputError("line 1: empty input")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise InputError("line 1: expected 'n m'")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise InputError("line 1: expected integers 'n m'") from None
+    if n < 0 or m < 0:
+        raise InputError("line 1: n and m must be nonnegative")
+    if len(lines) < 1 + m:
+        raise InputError(f"line {len(lines) + 1}: expected {m} edge lines")
+    edges = []
+    seen: set[tuple[int, int]] = set()
+    for i in range(m):
+        lineno = i + 2
+        parts = lines[1 + i].split()
+        if len(parts) != 2:
+            raise InputError(f"line {lineno}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(f"line {lineno}: expected integers 'u v'") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"line {lineno}: vertex out of range")
+        if u >= v:
+            raise InputError(f"line {lineno}: edges must satisfy u < v")
+        if (u, v) in seen:
+            raise InputError(f"line {lineno}: duplicate edge {u} {v}")
+        seen.add((u, v))
+        edges.append((u, v))
+    interior: frozenset[int] | None = None
+    stubs = [0] * n
+    stub_seen: set[int] = set()
+    for i in range(1 + m, len(lines)):
+        lineno = i + 1
+        line = lines[i].strip()
+        if not line:
+            if i == len(lines) - 1:
+                continue
+            raise InputError(f"line {lineno}: unexpected blank line")
+        if line.startswith("# interior:"):
+            if interior is not None:
+                raise InputError(f"line {lineno}: repeated interior line")
+            body = line[len("# interior:"):].split()
+            try:
+                ids = [int(t) for t in body]
+            except ValueError:
+                raise InputError(f"line {lineno}: bad interior ids") from None
+            for v in ids:
+                if not 0 <= v < n:
+                    raise InputError(f"line {lineno}: interior id out of range")
+            interior = frozenset(ids)
+        elif line.startswith("# stubs:"):
+            parts = line[len("# stubs:"):].split()
+            if len(parts) != 2:
+                raise InputError(f"line {lineno}: expected '# stubs: v k'")
+            try:
+                v, k = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise InputError(f"line {lineno}: expected integers in stub line") from None
+            if not 0 <= v < n:
+                raise InputError(f"line {lineno}: stub vertex out of range")
+            if v in stub_seen:
+                raise InputError(f"line {lineno}: repeated stub line for vertex {v}")
+            if k <= 0:
+                raise InputError(f"line {lineno}: stub count must be positive")
+            stub_seen.add(v)
+            stubs[v] = k
+        else:
+            raise InputError(f"line {lineno}: unrecognized trailing line")
+    graph = Graph.from_edges(n, edges)
+    if interior is None:
+        if stub_seen:
+            raise InputError("stub lines require an interior line")
+        return Window.closed(graph)
+    return Window(graph, interior, tuple(stubs))
 
 
 def disjoint_union(parts, order) -> Window:

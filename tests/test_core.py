@@ -17,6 +17,7 @@ from helpers import (
     hull_report,
     is_connected,
     least_extendable_edge,
+    reference_parse_window_text,
     windows,
 )
 from tuttelab import (
@@ -580,6 +581,49 @@ class TestWindowValidation:
         assert sub.graph is sub.window.graph
 
 
+EDGE_LINE_FAULTS = ("tokens", "integer", "range", "order", "duplicate", "blank")
+
+
+@st.composite
+def faulty_window_texts(draw) -> str:
+    """Hypothesis strategy: a window's file, edge lines shuffled, with 0-3
+    faults: a wrong token count, a non-integer, an id out of range, u >= v,
+    a copy of another edge line, or a blank line (in place of an edge line,
+    or put in anywhere after the header; with no edge lines every fault is
+    such a blank line).  Later faults may land on earlier ones.
+    """
+    w = draw(windows(max_n=8))
+    n, m = w.graph.vertex_count, w.graph.edge_count
+    lines = format_window(w).splitlines()
+    lines[1 : 1 + m] = draw(st.permutations(lines[1 : 1 + m]))
+    for kind in draw(st.lists(st.sampled_from(EDGE_LINE_FAULTS), max_size=3)):
+        if m == 0 or (kind == "blank" and draw(st.booleans())):
+            lines.insert(draw(st.integers(1, len(lines))), "")
+            continue
+        i = draw(st.integers(1, m))
+        tokens = lines[i].split() or ["0", "1"]
+        if kind == "tokens":
+            tokens = tokens[:1] if draw(st.booleans()) else tokens + ["1"]
+        elif kind == "integer":
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+                st.sampled_from(["a", "1.5", "0x1", "--1"])
+            )
+        elif kind == "range":
+            tokens[draw(st.integers(0, len(tokens) - 1))] = str(
+                draw(st.sampled_from([-1, n, n + 3]))
+            )
+        elif kind == "order":
+            v = draw(st.integers(0, n - 1))
+            tokens = [str(draw(st.integers(v, n - 1))), str(v)]
+        elif kind == "duplicate":
+            others = [j for j in range(1, m + 1) if j != i] or [i]
+            tokens = lines[draw(st.sampled_from(others))].split()
+        else:
+            tokens = []
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
 class TestFileFormat:
     def test_graph_round_trip(self):
         g = fixture("petersen")
@@ -600,23 +644,42 @@ class TestFileFormat:
         assert format_graph(g) == "3 2\n0 1\n1 2\n"
 
     @pytest.mark.parametrize(
-        "text,lineno",
+        "text,message",
         [
-            ("", 1),
-            ("3\n", 1),
-            ("3 1\n", 2),
-            ("3 1\n0 a\n", 2),
-            ("3 1\n1 0\n", 2),
-            ("3 2\n0 1\n0 1\n", 3),
-            ("3 1\n0 5\n", 2),
-            ("3 1\n0 1\nwhat\n", 3),
-            ("3 1\n0 1\n# stubs: 0\n", 3),
+            ("", "line 1: empty input"),
+            ("3\n", "line 1: expected 'n m'"),
+            ("3 1\n", "line 2: expected 1 edge lines"),
+            ("3 1\n0 a\n", "line 2: expected integers 'u v'"),
+            ("3 1\n1 0\n", "line 2: edges must satisfy u < v"),
+            ("3 2\n0 1\n0 1\n", "line 3: duplicate edge 0 1"),
+            ("3 1\n0 5\n", "line 2: vertex out of range"),
+            ("3 1\n0 1\nwhat\n", "line 3: unrecognized trailing line"),
+            ("3 1\n0 1\n# stubs: 0\n", "line 3: expected '# stubs: v k'"),
         ],
+        # Each case is named by its text and the line number it reports.
+        ids=lambda value: value[5 : value.index(":")] if value.startswith("line ") else None,
     )
-    def test_malformed_inputs_report_line(self, text, lineno):
+    def test_malformed_inputs_report_line(self, text, message):
         with pytest.raises(InputError) as err:
             parse_window_text(text)
-        assert f"line {lineno}" in str(err.value)
+        assert str(err.value) == message
+
+    @given(faulty_window_texts())
+    @example("4 3\n0 1\n1 0\n0 x y\n")
+    @example("4 3\n0 1\n\n0 1\n")
+    @example("4 2\n2 3\n0 9\n# interior: 0\n")
+    @settings(max_examples=300, deadline=None)
+    def test_errors_match_the_line_by_line_reference(self, text):
+        # The bulk pass and its fallback must give the reference's Window,
+        # or its exact message for the first bad line.
+        try:
+            expected = reference_parse_window_text(text)
+        except InputError as err:
+            with pytest.raises(InputError) as got:
+                parse_window_text(text)
+            assert str(got.value) == str(err)
+        else:
+            assert parse_window_text(text) == expected
 
     def test_stubs_without_interior_rejected(self):
         with pytest.raises(InputError):

@@ -10,6 +10,7 @@ from helpers import (
     brute_hall,
     build_gadget,
     circuit_trace_orientation,
+    orientation_from_dict,
     orientation_from_matching,
     random_even_degree_graph,
 )
@@ -298,7 +299,7 @@ class TestVerifyBalanced:
         flipped = dict(o.heads)
         e = Edge(0, 1)
         flipped[e] = e.u if flipped[e] == e.v else e.v
-        bad = verify_balanced(g, Orientation.from_dict(flipped), range(4))
+        bad = verify_balanced(g, orientation_from_dict(flipped), range(4))
         assert len(bad.violations) == 2
 
     def test_empty_graph(self):
@@ -309,6 +310,27 @@ class TestVerifyBalanced:
         g = fixture("cycle(4)")
         with pytest.raises(InputError):
             verify_balanced(g, Orientation(()), range(4))
+        # One edge short of total is rejected too.
+        heads = eulerian_orientation(g).heads
+        with pytest.raises(InputError, match="not total on the host edge set"):
+            verify_balanced(g, Orientation(heads[1:]), range(4))
+
+    def test_non_edge_rejected(self):
+        # cycle(4) has no edge 0-2; adding it, or swapping it in, is rejected.
+        g = fixture("cycle(4)")
+        heads = eulerian_orientation(g).heads
+        for bad in (heads + ((Edge(0, 2), 2),), ((Edge(0, 2), 2),) + heads[1:]):
+            with pytest.raises(InputError, match="not total on the host edge set"):
+                verify_balanced(g, Orientation(bad), range(4))
+
+    def test_reversed_pair_rejected(self):
+        # Edge(3, 1) names the host edge 1-3 but is not its normalized form.
+        g = Graph.from_edges(4, [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)])
+        rest = ((Edge(0, 1), 1), (Edge(0, 3), 0), (Edge(1, 2), 2), (Edge(2, 3), 3))
+        verify_balanced(g, Orientation(rest + ((Edge(1, 3), 3),)), range(4))  # total
+        for extra in (((Edge(3, 1), 3),), ((Edge(1, 3), 3), (Edge(3, 1), 3))):
+            with pytest.raises(InputError, match="not total on the host edge set"):
+                verify_balanced(g, Orientation(rest + extra), range(4))
 
     def test_interior_restriction(self):
         g = fixture("cycle(4)")
@@ -316,7 +338,7 @@ class TestVerifyBalanced:
         flipped = dict(o.heads)
         e = Edge(0, 1)
         flipped[e] = e.u if flipped[e] == e.v else e.v
-        report = verify_balanced(g, Orientation.from_dict(flipped), {2, 3})
+        report = verify_balanced(g, orientation_from_dict(flipped), {2, 3})
         assert report.passed
 
 
