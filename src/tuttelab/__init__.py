@@ -5,13 +5,10 @@ from .core import (
     Edge,
     Graph,
     InputError,
-    Subgraph,
     Window,
     format_graph,
     format_window,
     parse_window_text,
-    remove_vertices,
-    remove_window_vertices,
 )
 from .generators import (
     ActionSpec,

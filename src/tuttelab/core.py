@@ -19,7 +19,9 @@ misses a component of G, to one seeded walk, :func:`_open_cuts`: the only
 code that reuses G's components, searching only from N(X).  These kernels
 are the package's only component search; a single X, such as the empty
 one a layered certificate asks about, is the first item of
-:func:`finite_cuts` with ``max_x = 0``.
+:func:`finite_cuts` with ``max_x = 0``.  The X walks read g under a live
+mask: the subgraph induced on it, named by g's ids, so a caller that
+deletes vertices asks its questions of one host graph, never of a copy.
 """
 
 from __future__ import annotations
@@ -208,40 +210,6 @@ class Window:
         return m
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """An induced subwindow; ``original_ids[new_id]`` maps ids back."""
-
-    window: Window
-    original_ids: tuple[int, ...]
-
-    @property
-    def graph(self) -> Graph:
-        return self.window.graph
-
-
-def remove_vertices(g: Graph, removed: Iterable[int]) -> Subgraph:
-    """Induced subgraph on V(g) minus ``removed``, as a closed window."""
-    removed = g.vertex_set(removed)
-    keep = [v for v in range(g.vertex_count) if v not in removed]
-    new_id = dict(zip(keep, range(len(keep))))
-    adjacency = tuple([
-        tuple([new_id[u] for u in g.adjacency[v] if u not in removed])
-        for v in keep
-    ])
-    return Subgraph(Window.closed(Graph(len(keep), adjacency)), tuple(keep))
-
-
-def remove_window_vertices(w: Window, removed: Iterable[int]) -> Subgraph:
-    """Like :func:`remove_vertices` but carrying window marks along."""
-    sub = remove_vertices(w.graph, removed)
-    interior = frozenset(
-        i for i, v in enumerate(sub.original_ids) if v in w.interior
-    )
-    stubs = tuple(w.external_stubs[v] for v in sub.original_ids)
-    return Subgraph(Window(sub.graph, interior, stubs), sub.original_ids)
-
-
 # ---------------------------------------------------------------------------
 # Bitmask internals shared by every X- and F-enumeration.
 
@@ -345,36 +313,46 @@ def _finite_components(
     return comps
 
 
+def _live_mask(g: Graph, live: int | None) -> int:
+    """The vertices a question is asked of: live, or all of g when None."""
+    if live is None:
+        return g.full_mask
+    if live < 0 or live >> g.vertex_count:
+        raise InputError("live mask names a vertex out of range")
+    return live
+
+
 def finite_cuts(
-    g: Graph, frontier_mask: int, max_x: int
+    g: Graph, frontier_mask: int, max_x: int, live: int | None = None
 ) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
     """Yield (X, mask of X, finite component masks of g - X) for |X| <= max_x.
 
-    X runs over all vertex subsets in (size, lexicographic) order,
-    starting with the empty set; the components of each X are listed by
-    least vertex.  A component is finite when it contains no vertex of
-    frontier_mask.  On a closed window (frontier_mask 0) whose g has at
-    most max_x components, each X costs one :func:`mask_components`
-    search of all of g - X.  Otherwise, with a frontier or when every X
-    misses a component of g, :func:`_open_cuts` walks the X: it reuses
-    the finite components of g that X misses and searches only from
-    N(X).  :func:`_piece_cuts` walks only the X that can leave a finite
-    component.
+    g is read on the mask live (all of g by default): the subgraph induced
+    on it, in g's ids.  X runs over all live vertex subsets in (size,
+    lexicographic) order, starting with the empty set; the components of
+    each X are listed by least vertex.  A component is finite when it
+    contains no vertex of frontier_mask.  On a closed window (frontier_mask
+    0) whose g has at most max_x components, each X costs one
+    :func:`mask_components` search of all of g - X.  Otherwise, with a
+    frontier or when every X misses a component of g, :func:`_open_cuts`
+    walks the X: it reuses the finite components of g that X misses and
+    searches only from N(X).  :func:`_piece_cuts` walks only the X that
+    can leave a finite component.
     """
+    live = _live_mask(g, live)
     masks = g.neighbor_masks
-    full = g.full_mask
-    comps = mask_components(masks, full)
-    subsets = iter_subsets(range(g.vertex_count), max_x)
+    comps = mask_components(masks, live)
+    subsets = iter_subsets(vertices_of(live), max_x)
     if frontier_mask or len(comps) > max_x:
-        yield from _open_cuts(g, frontier_mask, comps, subsets)
+        yield from _open_cuts(g, frontier_mask, live, comps, subsets)
         return
     for xs in subsets:
         xmask = mask_of(xs)
-        yield xs, xmask, mask_components(masks, full & ~xmask) if xs else comps
+        yield xs, xmask, mask_components(masks, live & ~xmask) if xs else comps
 
 
 def _piece_cuts(
-    g: Graph, frontier_mask: int, max_x: int
+    g: Graph, frontier_mask: int, max_x: int, live: int
 ) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
     """:func:`finite_cuts` on a window with a frontier, less X that leave
     no finite component.
@@ -389,16 +367,15 @@ def _piece_cuts(
     walked instead, as in :func:`finite_cuts`.
     """
     masks = g.neighbor_masks
-    full = g.full_mask
-    comps = mask_components(masks, full)
+    comps = mask_components(masks, live)
     pools: dict[int, int] = {}
-    for c, nc in _pieces(masks, frontier_mask, max_x):
-        pools[nc] = pools.get(nc, 0) | full & ~(c | nc)
-    n = g.vertex_count
+    for c, nc in _pieces(masks, frontier_mask, max_x, live):
+        pools[nc] = pools.get(nc, 0) | live & ~(c | nc)
     walked = sum(_subset_count(pool.bit_count(), max_x - nc.bit_count())
                  for nc, pool in pools.items())
-    if walked >= _subset_count(n, max_x):
-        return _open_cuts(g, frontier_mask, comps, iter_subsets(range(n), max_x))
+    if walked >= _subset_count(live.bit_count(), max_x):
+        subsets = iter_subsets(vertices_of(live), max_x)
+        return _open_cuts(g, frontier_mask, live, comps, subsets)
     pieces = [(vertices_of(nc), pool) for nc, pool in pools.items()]
 
     def of_size(nverts: tuple[int, ...], pool: int, size: int) -> Iterator[tuple[int, ...]]:
@@ -415,14 +392,15 @@ def _piece_cuts(
             of_size(nverts, pool, size) for nverts, pool in pieces if len(nverts) <= size
         )))
     )
-    return _open_cuts(g, frontier_mask, comps, subsets)
+    return _open_cuts(g, frontier_mask, live, comps, subsets)
 
 
 def _open_cuts(
-    g: Graph, frontier_mask: int, comps: list[int], subsets: Iterable[tuple[int, ...]]
+    g: Graph, frontier_mask: int, live: int, comps: list[int],
+    subsets: Iterable[tuple[int, ...]],
 ) -> Iterator[tuple[tuple[int, ...], int, list[int]]]:
     """(X, mask of X, finite component masks of g - X) for each X of subsets,
-    where comps lists the components of g.
+    where g is read on the mask live and comps lists its components.
 
     A finite component of g - X is either a finite component of g that X
     misses, taken as it is from ``whole`` (each vertex's component of g),
@@ -434,7 +412,6 @@ def _open_cuts(
     order without sorting the components X misses.
     """
     masks = g.neighbor_masks
-    full = g.full_mask
     whole = [0] * len(masks)
     finite = 0
     for comp in comps:
@@ -448,7 +425,7 @@ def _open_cuts(
             xmask |= 1 << v
             touched |= whole[v]
             nbrs |= masks[v]
-        found = _finite_components(masks, full & ~xmask, nbrs, frontier_mask)
+        found = _finite_components(masks, live & ~xmask, nbrs, frontier_mask)
         rest = finite & ~touched
         if rest:
             split = iter(found)
@@ -464,11 +441,15 @@ def _open_cuts(
         yield xs, xmask, found
 
 
-def _pieces(masks: Sequence[int], frontier_mask: int, max_x: int) -> Iterator[tuple[int, int]]:
+def _pieces(
+    masks: Sequence[int], frontier_mask: int, max_x: int, live: int
+) -> Iterator[tuple[int, int]]:
     """Each piece C with |N(C)| <= max_x, once, as the masks (C, N(C)).
 
-    A piece is a nonempty connected vertex set with no frontier vertex:
-    what can be a finite component of g - X.  The search from root v finds
+    A piece is a nonempty connected set of live vertices, none of them on
+    the frontier: what can be a finite component of g - X.  Masking each
+    neighbour set with live, the search neither roots nor grows a piece at
+    a dead vertex, and its paths avoid them.  The search from root v finds
     the pieces whose least vertex is v (the "connected set with small
     neighbourhood" enumeration of Fomin and Villanger, 2012).  C grows from
     {v}; the least undecided vertex of N(C) either joins C or stays out, in
@@ -478,12 +459,11 @@ def _pieces(masks: Sequence[int], frontier_mask: int, max_x: int) -> Iterator[tu
     more than max_x - |D| disjoint paths between them are found in g - D:
     each such cut has a vertex on every path (see :func:`_cut_exceeds`).
     """
-    for v in range(len(masks)):
+    for v in vertices_of(live & ~frontier_mask):
         root = 1 << v
-        if root & frontier_mask:
-            continue
         blocked = frontier_mask | (root - 1)
-        stack = [(root, masks[v], masks[v] & blocked)]
+        nbrs = masks[v] & live
+        stack = [(root, nbrs, nbrs & blocked)]
         while stack:
             c, nbrs, out = stack.pop()
             budget = max_x - out.bit_count()
@@ -501,14 +481,14 @@ def _pieces(masks: Sequence[int], frontier_mask: int, max_x: int) -> Iterator[tu
             while rest:
                 low = rest & -rest
                 rest ^= low
-                if masks[low.bit_length() - 1] & ~(c | out):
+                if masks[low.bit_length() - 1] & live & ~(c | out):
                     starts |= low
             if starts.bit_count() > budget and _cut_exceeds(
-                masks, c, starts, out, blocked, budget
+                masks, c, starts, out | ~live, blocked, budget
             ):
                 continue
             u = undecided & -undecided
-            grown = masks[u.bit_length() - 1]
+            grown = masks[u.bit_length() - 1] & live
             stack.append((c, nbrs, out | u))
             stack.append((c | u, (nbrs | grown) & ~(c | u), out | grown & blocked))
 

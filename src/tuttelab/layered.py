@@ -8,7 +8,10 @@ least incident edge whose removal (with both endpoints) keeps the
 remaining graph perfectly matchable.  Endpoints are removed immediately,
 so every later choice is validated against the current graph; the
 distance separation that justifies simultaneous choices in the infinite
-setting holds by the nets' construction, but is not relied on.
+setting holds by the nets' construction, but is not relied on.  The
+remaining graph is never copied: the engine keeps one ``live`` vertex mask
+over the input window, clears the endpoints it covers, and asks every
+question of the input graph under that mask.
 
 After each level the engine records a certificate: the remaining graph
 has no odd finite component (read from core's ``finite_cuts`` at the
@@ -24,7 +27,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .core import Edge, Graph, InputError, Window, finite_cuts
-from .core import remove_vertices, remove_window_vertices
 from .matching import MatchingState, has_perfect_matching
 from .verifier import TutteReport, check_tutte_eps_k
 
@@ -140,16 +142,16 @@ def build_nets(w: Window, schedule: Schedule) -> NetLevels:
     return NetLevels(tuple(levels), tuple(remaining))
 
 
-def _least_allowed(g: Graph, removed: set[int], x: int) -> int | None:
-    """Least neighbour u of x with x-u allowed in H = g - removed, else None.
+def _least_allowed(g: Graph, live: int, x: int) -> int | None:
+    """Least neighbour u of x with x-u allowed in H, g on the mask live,
+    else None.
 
     x-u lies in a perfect matching of H iff H - x - u has one (add x-u),
     so None means that H has no perfect matching.
     """
+    rest = live & ~(1 << x)
     for u in g.adjacency[x]:
-        if u not in removed and has_perfect_matching(
-            remove_vertices(g, removed | {x, u}).graph
-        ):
+        if rest >> u & 1 and has_perfect_matching(g, rest ^ 1 << u):
             return u
     return None
 
@@ -159,12 +161,10 @@ class LevelCertificate:
     """What level ``level`` chose and what was checked on the graph it left.
 
     The checks run on the level window: the input window minus every
-    vertex covered so far, its vertices renumbered in ascending order of
-    their input ids (as :func:`remove_window_vertices` does).
-    ``odd_component_count`` counts the odd finite components of that
-    window, and ``tutte`` names its vertices (violation witnesses) by the
-    level window's ids; they are not mapped back to the input window.
-    ``chosen_edges`` and ``failed_vertices`` use the input window's ids.
+    vertex covered so far.  ``odd_component_count`` counts the odd finite
+    components of that window.  Every id, in ``chosen_edges``,
+    ``failed_vertices`` and the violation witnesses of ``tutte``, is an
+    input window id.
     """
 
     level: int
@@ -221,12 +221,13 @@ def run_layered_matching(
         raise InputError("nets and schedule disagree on the number of levels")
     if cert_max_x < 1:
         raise InputError("cert_max_x must be positive")
-    w.graph.vertex_set(v for net in nets.levels for v in net)
-    if w.is_closed and not has_perfect_matching(w.graph):
+    g = w.graph
+    g.vertex_set(v for net in nets.levels for v in net)
+    if w.is_closed and not has_perfect_matching(g):
         raise InputError("closed window has no perfect matching")
 
     matched: list[Edge] = []
-    covered: set[int] = set()
+    live = g.full_mask
     certificates: list[LevelCertificate] = []
 
     for level_idx, (f_n, eps_n, net) in enumerate(
@@ -235,19 +236,18 @@ def run_layered_matching(
         chosen: list[Edge] = []
         failed: list[int] = []
         for x in sorted(net):
-            if x in covered:
+            if not live >> x & 1:
                 continue
-            u = _least_allowed(w.graph, covered, x)
+            u = _least_allowed(g, live, x)
             if u is None:
                 failed.append(x)
                 break
             e = Edge.of(x, u)
             chosen.append(e)
             matched.append(e)
-            covered.update((x, u))
-        current = remove_window_vertices(w, covered).window
+            live ^= 1 << x | 1 << u
         # The empty X is the only X of size 0: its finite components are G's.
-        _, _, finite = next(finite_cuts(current.graph, current.frontier_mask, 0))
+        _, _, finite = next(finite_cuts(g, w.frontier_mask & live, 0, live))
         certificates.append(
             LevelCertificate(
                 level=level_idx,
@@ -255,17 +255,17 @@ def run_layered_matching(
                 eps_n=eps_n,
                 chosen_edges=tuple(chosen),
                 odd_component_count=sum(c.bit_count() & 1 for c in finite),
-                tutte=check_tutte_eps_k(current, eps_n, f_n, cert_max_x),
+                tutte=check_tutte_eps_k(w, eps_n, f_n, cert_max_x, live),
                 failed_vertices=tuple(failed),
             )
         )
         if failed:
             break
 
-    matching = MatchingState.from_pairs(matched, w.graph)
+    matching = MatchingState.from_pairs(matched, g)
     interior_count = len(w.interior)
     if interior_count:
-        coverage = Fraction(len(covered & w.interior), interior_count)
+        coverage = Fraction(len(matching.covered & w.interior), interior_count)
     else:
         coverage = Fraction(1)
     return RunCertificate(tuple(certificates), matching, coverage)

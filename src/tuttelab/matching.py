@@ -5,7 +5,10 @@ augmenting paths in an alternating tree, with blossom contraction (O(V^3)
 in the worst case).  Each search works only on the vertices its tree
 reaches: the search state is allocated once per call and reset on the
 tree alone, so on sparse inputs, where most trees stay small, the whole
-matching takes near-linear time.  Hopcroft-Karp is the gadget route's
+matching takes near-linear time.  The search, the perfect-matching test
+and the allowed-edge test run on the host graph under a live mask: the
+vertices outside it are skipped, never copied out, so a caller that
+deletes vertices keeps the host's ids.  Hopcroft-Karp is the gadget route's
 kernel, a private loop on rows of right-side indices: the orientation
 module calls it on rows it computes from the host graph, without
 building a gadget graph.  Both scan vertices and adjacency rows in
@@ -24,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import Edge, Graph, InputError, finite_cuts, remove_vertices
+from .core import Edge, Graph, InputError, _live_mask, finite_cuts
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,11 @@ class MatchingState:
         return len(self.covered) == g.vertex_count
 
 
-def max_matching(g: Graph) -> MatchingState:
+def max_matching(g: Graph, live: int | None = None) -> MatchingState:
     """Maximum-cardinality matching via blossom contraction.
+
+    With ``live``, it is, edge for edge, the matching of the subgraph
+    induced on that mask, copied out in ascending order, in g's ids.
 
     Roots are tried in ascending id order and adjacency lists are already
     sorted, so the returned edge set is deterministic (its size is the
@@ -85,7 +91,14 @@ def max_matching(g: Graph) -> MatchingState:
     mate = [-1] * n
     # Search state, reset after each search on that search's tree only.
     used = [False] * n
-    parent = [-1] * n
+    if live is None:
+        parent = [-1] * n
+    else:
+        # A dead vertex looks held by a tree (a parent, no mate): the scan
+        # passes it, and the root loop and greedy match test for it.  Bit n
+        # pads the string to n digits past its leading "1", dropped here.
+        bits = f"{_live_mask(g, live) | 1 << n:b}"[:0:-1]
+        parent = [-1 if bit == "1" else n for bit in bits]
     base = list(range(n))
     # Stamp marks: each lca walk and each blossom takes a fresh stamp, so
     # the array never needs clearing.
@@ -183,10 +196,10 @@ def max_matching(g: Graph) -> MatchingState:
             base[x] = x
 
     for root in range(n):
-        if mate[root] != -1:
+        if mate[root] != -1 or parent[root] != -1:
             continue
         for to in adj[root]:
-            if mate[to] == -1:
+            if mate[to] == -1 and parent[to] == -1:
                 mate[root] = to
                 mate[to] = root
                 break
@@ -197,11 +210,12 @@ def max_matching(g: Graph) -> MatchingState:
     return MatchingState.from_pairs(pairs, g)
 
 
-def has_perfect_matching(g: Graph) -> bool:
-    """True when some matching covers every vertex."""
-    if g.vertex_count % 2 == 1:
+def has_perfect_matching(g: Graph, live: int | None = None) -> bool:
+    """True when some matching covers every vertex (every live one)."""
+    count = _live_mask(g, live).bit_count()
+    if count % 2 == 1:
         return False
-    return 2 * max_matching(g).size == g.vertex_count
+    return 2 * max_matching(g, live).size == count
 
 
 def is_allowed_edge(g: Graph, e: Edge) -> bool:
@@ -209,7 +223,7 @@ def is_allowed_edge(g: Graph, e: Edge) -> bool:
     e = Edge.of(e[0], e[1])
     if not g.has_edge(e.u, e.v):
         raise InputError(f"edge {e} not in graph")
-    return has_perfect_matching(remove_vertices(g, e).graph)
+    return has_perfect_matching(g, g.full_mask ^ 1 << e.u ^ 1 << e.v)
 
 
 def _hopcroft_karp(rows: Sequence[Sequence[int]], right_count: int) -> list[int]:

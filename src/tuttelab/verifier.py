@@ -50,6 +50,7 @@ from .core import (
     InputError,
     Window,
     _connected_sets,
+    _live_mask,
     _min_ratios,
     _piece_cuts,
     _subset_count,
@@ -116,9 +117,12 @@ def _mask_boundary(masks: Sequence[int], stubs: Sequence[int], f: int) -> int:
 
 
 def check_tutte_eps_k(
-    w: Window, epsilon: Fraction | int, k: int, max_x: int
+    w: Window, epsilon: Fraction | int, k: int, max_x: int, live: int | None = None
 ) -> TutteReport:
     """Check the quantitative Tutte condition for every X with |X| <= max_x.
+
+    With ``live``, the window checked is w minus every vertex outside that
+    mask, its marks kept and its vertices named by w's ids.
 
     Condition (i) is checked for every examined X; condition (ii) only
     where it applies, i.e. when the odd hull is connected and has size at
@@ -143,14 +147,16 @@ def check_tutte_eps_k(
         raise InputError("k must be positive")
     if max_x < 1:
         raise InputError("max_x must be positive")
-    n = w.graph.vertex_count
+    live = _live_mask(w.graph, live)
+    n = live.bit_count()
     candidates = _subset_count(n, max_x)
-    if k > n and has_perfect_matching(w.graph):
+    if k > n and has_perfect_matching(w.graph, live):
         return TutteReport(epsilon, k, max_x, candidates, ())
     masks = w.graph.neighbor_masks
     violations: list[Violation] = []
-    cuts = _piece_cuts if w.frontier_mask and epsilon <= 1 else finite_cuts
-    for xs, xmask, finite in cuts(w.graph, w.frontier_mask, max_x):
+    frontier = w.frontier_mask & live
+    cuts = _piece_cuts if frontier and epsilon <= 1 else finite_cuts
+    for xs, xmask, finite in cuts(w.graph, frontier, max_x, live):
         odd_count = 0
         hull = xmask
         for comp in finite:
@@ -260,7 +266,7 @@ def verify_expansion_lemma(
     candidates = _subset_count(g.vertex_count, max_x) if max_x else 0
     if max_x > 0:
         cuts = _piece_cuts if w.frontier_mask and delta <= d else finite_cuts
-        for xs, xmask, finite in cuts(g, w.frontier_mask, max_x):
+        for xs, xmask, finite in cuts(g, w.frontier_mask, max_x, g.full_mask):
             hull = xmask
             # A boundary violation's count is its component's 1-based index.
             for index, comp in enumerate(finite, 1):

@@ -11,8 +11,12 @@ the bitmask kernels, the package's only component search.  The
 Hall oracle scores every F with plain Fractions, never the package's
 owner-set reduction.
 
-The cross-checks that only tests call live here too: components and
-hulls of G - X for one X, graph distance and the nets' separation
+The copy oracles live here: ``remove_vertices`` and
+``remove_window_vertices`` copy out the graph (window) minus a vertex set,
+renumbered in ascending order, as a ``Subgraph`` whose ``original_ids``
+map ids back, where the package asks the same questions of the host
+graph under a live mask.  The cross-checks that only tests call live
+here too: components and hulls of G - X for one X, graph distance and the nets' separation
 recheck, small vertex cuts between two sets (the piece search prunes by
 them), the extension of a layered run's matching to a perfect one, the
 bipartite gadget built as a graph from its definition (the package only
@@ -49,7 +53,6 @@ from tuttelab import (
     Violation,
     Window,
     max_matching,
-    remove_vertices,
 )
 from tuttelab.core import iter_subsets
 from tuttelab.layered import _least_allowed
@@ -80,6 +83,39 @@ def brute_matching_size(g: Graph) -> int:
     value = best(g.full_mask)
     best.cache_clear()
     return value
+
+
+@dataclass(frozen=True)
+class Subgraph:
+    """An induced subwindow; ``original_ids[new_id]`` maps ids back."""
+
+    window: Window
+    original_ids: tuple[int, ...]
+
+    @property
+    def graph(self) -> Graph:
+        return self.window.graph
+
+
+def remove_vertices(g: Graph, removed: Iterable[int]) -> Subgraph:
+    """Induced subgraph on V(g) minus ``removed``, as a closed window."""
+    removed = g.vertex_set(removed)
+    keep = [v for v in range(g.vertex_count) if v not in removed]
+    new_id = dict(zip(keep, range(len(keep))))
+    adjacency = tuple(
+        tuple(new_id[u] for u in g.adjacency[v] if u not in removed) for v in keep
+    )
+    return Subgraph(Window.closed(Graph(len(keep), adjacency)), tuple(keep))
+
+
+def remove_window_vertices(w: Window, removed: Iterable[int]) -> Subgraph:
+    """Like :func:`remove_vertices` but carrying window marks along."""
+    sub = remove_vertices(w.graph, removed)
+    interior = frozenset(
+        i for i, v in enumerate(sub.original_ids) if v in w.interior
+    )
+    stubs = tuple(w.external_stubs[v] for v in sub.original_ids)
+    return Subgraph(Window(sub.graph, interior, stubs), sub.original_ids)
 
 
 def reference_max_matching(g: Graph) -> MatchingState:
@@ -324,7 +360,7 @@ def least_extendable_edge(g: Graph, x: int) -> Edge:
     g.vertex_set((x,))
     if not g.adjacency[x]:
         raise InputError(f"vertex {x} is isolated")
-    u = _least_allowed(g, set(), x)
+    u = _least_allowed(g, g.full_mask, x)
     if u is None:
         raise InputError("graph has no perfect matching")
     return Edge.of(x, u)

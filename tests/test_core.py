@@ -18,6 +18,8 @@ from helpers import (
     is_connected,
     least_extendable_edge,
     reference_parse_window_text,
+    remove_vertices,
+    remove_window_vertices,
     windows,
 )
 from tuttelab import (
@@ -34,8 +36,6 @@ from tuttelab import (
     format_graph,
     format_window,
     parse_window_text,
-    remove_vertices,
-    remove_window_vertices,
     run_layered_matching,
     verify_balanced,
     verify_expansion_lemma,
@@ -383,7 +383,7 @@ class TestSeededWalk:
         if union.frontier_mask:
             # In (size, lex) order, once each, and every X that leaves a
             # finite component is walked.
-            walked = list(_piece_cuts(g, union.frontier_mask, max_x))
+            walked = list(_piece_cuts(g, union.frontier_mask, max_x, g.full_mask))
             xss = {xs for xs, _, _ in walked}
             assert [xs for xs, _, _ in walked] == [xs for xs in expected if xs in xss]
             assert all(comps == expected[xs] for xs, _, comps in walked)
@@ -395,7 +395,8 @@ class TestPieces:
     @settings(max_examples=150, deadline=None)
     def test_each_piece_once(self, w, data):
         max_x = data.draw(st.integers(0, w.graph.vertex_count))
-        got = list(_pieces(w.graph.neighbor_masks, w.frontier_mask, max_x))
+        g = w.graph
+        got = list(_pieces(g.neighbor_masks, w.frontier_mask, max_x, g.full_mask))
         assert len(got) == len(set(got))
         assert set(got) == naive_pieces(w, max_x)
 
@@ -406,7 +407,7 @@ class TestPieces:
         assume(w.frontier_mask)
         max_x = data.draw(st.integers(0, g.vertex_count + 1))
         every = list(finite_cuts(g, w.frontier_mask, max_x))
-        walked = list(_piece_cuts(g, w.frontier_mask, max_x))
+        walked = list(_piece_cuts(g, w.frontier_mask, max_x, g.full_mask))
         # A subsequence of the (size, lex) enumeration, with the same
         # components, that misses only X leaving no finite component.
         position = {xs: i for i, (xs, _, _) in enumerate(every)}
@@ -419,10 +420,11 @@ class TestPieces:
         # In the 4-regular tree every connected C has |N(C)| = 2|C| + 2, so
         # at max_x = 4 the pieces are the single non-frontier vertices.
         w = cayley_ball(GroupSpec.free(2), 3)
-        assert list(_piece_cuts(w.graph, w.frontier_mask, 3)) == []
-        walked = [xs for xs, _, _ in _piece_cuts(w.graph, w.frontier_mask, 4)]
+        g = w.graph
+        assert list(_piece_cuts(g, w.frontier_mask, 3, g.full_mask)) == []
+        walked = [xs for xs, _, _ in _piece_cuts(g, w.frontier_mask, 4, g.full_mask)]
         assert sorted(walked) == sorted(
-            tuple(w.graph.adjacency[v]) for v in sorted(w.interior))
+            tuple(g.adjacency[v]) for v in sorted(w.interior))
 
     def test_path_with_one_frontier_end_walks_every_subset(self):
         # Every vertex of the path cuts off the part beyond it, away from
@@ -430,7 +432,7 @@ class TestPieces:
         # all are walked.
         g = fixture("path(12)")
         frontier = 1
-        walked = [xs for xs, _, _ in _piece_cuts(g, frontier, 3)]
+        walked = [xs for xs, _, _ in _piece_cuts(g, frontier, 3, g.full_mask)]
         assert walked == [xs for xs, _, _ in finite_cuts(g, frontier, 3)]
 
 

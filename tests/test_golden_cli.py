@@ -20,7 +20,9 @@ resumes from the stack on a 4-regular graph, and starts once per
 component on two triangles, which pins the order in which it takes edges.
 The gadget route orients a disconnected graph, and a layered run on a cycle enumerates its level 0 check on a closed
 window of two components, walking every X in full at --cert-max-x 2 and
-searching only the component X touches at 1 (the same report).  An open
+searching only the component X touches at 1 (the same report); on
+cycle(2000), the amenable control, a three-level run pins every chosen
+edge of a run large enough that its allowed-edge tests dominate.  An open
 ball beside closed components on shuffled ids has a missed component whose
 least vertex falls between the ball's pieces, so the lemma's ``count=``
 indices pin the order in which reused and searched components are listed.
@@ -58,6 +60,7 @@ INPUTS = {
     "grandparent3": lambda: format_window(grandparent_window(3)),
     "cycle8": lambda: format_graph(fixture("cycle(8)")),
     "cycle40": lambda: format_graph(fixture("cycle(40)")),
+    "cycle2000": lambda: format_graph(fixture("cycle(2000)")),
     # 3-regular with one frontier vertex (9): a K4 minus the edge 5-6 hangs
     # off 8, and a K4 on {2,3,4,7} is a finite component of the whole graph.
     "twopieces": lambda: format_window(Window(
@@ -187,6 +190,8 @@ CASES = [
      1, "db0d94a4e6faed68d9545aedb9dddb29e15322b2a9477a21367c88b043011e2e"),
     (["layered", "{cycle40}", "--epsilon", "1", "--levels", "2", "--cert-max-x", "1"],
      1, "db0d94a4e6faed68d9545aedb9dddb29e15322b2a9477a21367c88b043011e2e"),
+    (["layered", "{cycle2000}", "--epsilon", "1", "--levels", "3", "--cert-max-x", "1"],
+     1, "175704840d81324e86d53a02b54f6abe3f9c671774fe9c12c5db39fbc5459f27"),
     (["verify-tutte", "{ballk5tri}", "--epsilon", "3/2", "--k", "2", "--max-x", "3"],
      1, "528c809a36f7c22e5644fa35c9fdd54eb331eca36c3e0135ba4eea7aef5ebf4f"),
     (["verify-tutte", "{ballk5tri}", "--epsilon", "1/2", "--k", "1", "--max-x", "3"],

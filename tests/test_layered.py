@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from helpers import (
     pendant_completion,
     random_graph,
     random_tree,
+    remove_vertices,
+    remove_window_vertices,
     windows,
 )
 from tuttelab import (
@@ -26,11 +29,10 @@ from tuttelab import (
     Window,
     build_nets,
     build_schedule,
+    check_tutte_eps_k,
     fixture,
     has_perfect_matching,
     layered,
-    remove_vertices,
-    remove_window_vertices,
     run_layered_matching,
 )
 
@@ -247,8 +249,6 @@ class TestRunLayeredMatching:
         assert run.passed
         # Replay the per-level prefixes of the matching and confirm the
         # remainder is perfectly matchable after every completed level.
-        from tuttelab import remove_vertices
-
         removed: set[int] = set()
         for cert in run.levels:
             for e in cert.chosen_edges:
@@ -324,7 +324,7 @@ class TestLayeredChoicesMatchBruteForce:
     def test_oracle_error_is_not_a_failed_vertex(self, monkeypatch):
         # Only a missing perfect matching marks a net vertex failed; an
         # error raised inside the matching oracle reaches the caller.
-        def broken(g):
+        def broken(g, live):
             raise InputError("oracle failure")
 
         monkeypatch.setattr(layered, "has_perfect_matching", broken)
@@ -372,3 +372,21 @@ class TestLevelCertificate:
             level_window = remove_window_vertices(w, covered).window
             expected = len(hull_report(level_window, ()).odd_components)
             assert cert.odd_component_count == expected
+
+    @given(runnable_windows(), st.integers(1, 3), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_tutte_report_is_the_level_windows_in_input_ids(self, w, max_x, small_eps):
+        # Each level's report is the check run on a copy of the level window,
+        # its witnesses mapped back to input ids.  At epsilon <= 1 an open
+        # window takes the piece walk, and k above the window's size is
+        # certified by a perfect matching when there is one.
+        schedule = hand_schedule(1, (8, 16, 32)) if small_eps else self.SCHEDULE
+        run = run_layered_matching(w, schedule, build_nets(w, schedule), max_x)
+        covered: set[int] = set()
+        for cert in run.levels:
+            covered.update(v for e in cert.chosen_edges for v in e)
+            sub = remove_window_vertices(w, covered)
+            ids = sub.original_ids
+            report = check_tutte_eps_k(sub.window, cert.eps_n, cert.f_n, max_x)
+            assert cert.tutte == replace(report, violations=tuple(
+                replace(v, x=tuple(ids[i] for i in v.x)) for v in report.violations))

@@ -11,6 +11,7 @@ from helpers import (
     random_graph,
     random_regular_graph,
     reference_max_matching,
+    remove_vertices,
 )
 from tuttelab import (
     Edge,
@@ -21,9 +22,9 @@ from tuttelab import (
     has_perfect_matching,
     is_allowed_edge,
     max_matching,
-    remove_vertices,
     tutte_berge_deficiency,
 )
+from tuttelab.core import mask_of
 
 
 @st.composite
@@ -201,6 +202,44 @@ class TestPerfectMatching:
     def test_petersen_minus_vertex(self):
         g = remove_vertices(fixture("petersen"), {0}).graph
         assert not has_perfect_matching(g)
+
+
+class TestLiveMask:
+    """The oracles on the host graph under a live mask against the copy
+    oracle: the graph minus the dead vertices, copied out and renumbered."""
+
+    @staticmethod
+    def assert_same_as_copy(g, removed):
+        sub = remove_vertices(g, removed)
+        ids = sub.original_ids
+        live = mask_of(ids)
+        want = max_matching(sub.graph)
+        assert max_matching(g, live).edges == tuple(
+            Edge.of(ids[e.u], ids[e.v]) for e in want.edges)
+        assert has_perfect_matching(g, live) == has_perfect_matching(sub.graph)
+
+    @given(graphs(max_n=14, max_density=0.5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_removed_sets(self, g, data):
+        n = g.vertex_count
+        removed = data.draw(st.one_of(
+            st.just(set()), st.just(set(range(n))), st.sets(st.integers(0, n - 1))))
+        self.assert_same_as_copy(g, removed)
+
+    @pytest.mark.parametrize("name", SMALL_FIXTURES)
+    def test_fixtures_less_one_vertex(self, name):
+        # One dead vertex flips the live count's parity.
+        g = fixture(name)
+        for v in range(g.vertex_count):
+            self.assert_same_as_copy(g, {v})
+
+    def test_mask_outside_the_graph_rejected(self):
+        g = fixture("cycle(4)")
+        for live in (-1, 1 << 4):
+            with pytest.raises(InputError, match="live mask"):
+                max_matching(g, live)
+            with pytest.raises(InputError, match="live mask"):
+                has_perfect_matching(g, live)
 
 
 class TestAllowedEdge:
