@@ -14,9 +14,9 @@ over the input window, clears the endpoints it covers, and asks every
 question of the input graph under that mask.
 
 After each level the engine records a certificate: the remaining graph
-has no odd finite component (read from core's ``finite_cuts`` at the
-empty X), and it passes the quantitative Tutte check at (eps_n, f(n)) up
-to a caller-chosen enumeration bound.  The proofs behind those facts are
+passes the quantitative Tutte check at (eps_n, f(n)) up to a
+caller-chosen enumeration bound, and the check's clause (i) at the empty
+X counts its odd finite components.  The proofs behind those facts are
 not re-derived; the checks test their conclusions directly.
 """
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import Edge, Graph, InputError, Window, finite_cuts
+from .core import Edge, Graph, InputError, Window
 from .matching import MatchingState, has_perfect_matching
 from .verifier import TutteReport, check_tutte_eps_k
 
@@ -160,20 +160,27 @@ def _least_allowed(g: Graph, live: int, x: int) -> int | None:
 class LevelCertificate:
     """What level ``level`` chose and what was checked on the graph it left.
 
-    The checks run on the level window: the input window minus every
-    vertex covered so far.  ``odd_component_count`` counts the odd finite
-    components of that window.  Every id, in ``chosen_edges``,
-    ``failed_vertices`` and the violation witnesses of ``tutte``, is an
-    input window id.
+    The check runs on the level window: the input window minus every
+    vertex covered so far.  ``tutte`` is its report at (eps_n, f(n)), so
+    ``tutte.epsilon`` and ``tutte.k`` are the level's residue and f(n).
+    Every id, in ``chosen_edges``, ``failed_vertices`` and the violation
+    witnesses of ``tutte``, is an input window id.
     """
 
     level: int
-    f_n: int
-    eps_n: Fraction
     chosen_edges: tuple[Edge, ...]
-    odd_component_count: int
     tutte: TutteReport
     failed_vertices: tuple[int, ...]
+
+    @property
+    def odd_component_count(self) -> int:
+        # Clause (i) at X = () flags exactly the odd finite components, and
+        # X runs in (size, lex) order, so that violation comes first if at
+        # all.  A report certified by a perfect matching has none.
+        for v in self.tutte.violations[:1]:
+            if v.x == () and v.kind == "tutte":
+                return v.count
+        return 0
 
     @property
     def no_odd_components(self) -> bool:
@@ -181,11 +188,8 @@ class LevelCertificate:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.no_odd_components
-            and self.tutte.passed
-            and not self.failed_vertices
-        )
+        # An odd finite component is itself a clause-(i) violation.
+        return self.tutte.passed and not self.failed_vertices
 
 
 @dataclass(frozen=True)
@@ -246,15 +250,10 @@ def run_layered_matching(
             chosen.append(e)
             matched.append(e)
             live ^= 1 << x | 1 << u
-        # The empty X is the only X of size 0: its finite components are G's.
-        _, _, finite = next(finite_cuts(g, w.frontier_mask & live, 0, live))
         certificates.append(
             LevelCertificate(
                 level=level_idx,
-                f_n=f_n,
-                eps_n=eps_n,
                 chosen_edges=tuple(chosen),
-                odd_component_count=sum(c.bit_count() & 1 for c in finite),
                 tutte=check_tutte_eps_k(w, eps_n, f_n, cert_max_x, live),
                 failed_vertices=tuple(failed),
             )

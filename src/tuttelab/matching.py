@@ -5,20 +5,20 @@ augmenting paths in an alternating tree, with blossom contraction (O(V^3)
 in the worst case).  Each search works only on the vertices its tree
 reaches: the search state is allocated once per call and reset on the
 tree alone, so on sparse inputs, where most trees stay small, the whole
-matching takes near-linear time.  The search, the perfect-matching test
-and the allowed-edge test run on the host graph under a live mask: the
-vertices outside it are skipped, never copied out, so a caller that
-deletes vertices keeps the host's ids.  Hopcroft-Karp is the gadget route's
-kernel, a private loop on rows of right-side indices: the orientation
-module calls it on rows it computes from the host graph, without
-building a gadget graph.  Both scan vertices and adjacency rows in
+matching takes near-linear time.  The search (a private kernel that
+returns the mate array), the perfect-matching test, which only counts
+mates, and the allowed-edge test run on the host graph under a live
+mask: the vertices outside it are skipped, never copied out, so a caller
+that deletes vertices keeps the host's ids.  Hopcroft-Karp is the gadget
+route's kernel, a private loop on rows of right-side indices: the
+orientation module calls it on rows it computes from the host graph,
+without building a gadget graph.  Both scan vertices and adjacency rows in
 canonical order, so results are reproducible run to run.  The
 Tutte-Berge deficiency is an exhaustive, enumeration-based cross-oracle:
 it never consults the augmenting-path machinery.  Its X-enumeration is
 core's ``finite_cuts``; this module imports only core, so the verifier
-may import the oracles:
-its Tutte check asks :func:`has_perfect_matching` for a certificate when
-k exceeds the window.
+may import the oracles: its Tutte check asks :func:`has_perfect_matching`
+for a certificate when k exceeds the window.
 """
 
 from __future__ import annotations
@@ -68,23 +68,30 @@ class MatchingState:
 
 
 def max_matching(g: Graph, live: int | None = None) -> MatchingState:
-    """Maximum-cardinality matching via blossom contraction.
+    """Maximum-cardinality matching via blossom contraction (:func:`_mates`).
 
     With ``live``, it is, edge for edge, the matching of the subgraph
     induced on that mask, copied out in ascending order, in g's ids.
+    """
+    pairs = [(v, u) for v, u in enumerate(_mates(g, live)) if u > v]
+    return MatchingState.from_pairs(pairs, g)
 
-    Roots are tried in ascending id order and adjacency lists are already
-    sorted, so the returned edge set is deterministic (its size is the
-    canonical quantity).  A free root with a free neighbour is matched to
-    its least one; any other free root starts a breadth-first alternating
-    search (Edmonds, "Paths, trees, and flowers", 1965).  The search
-    state is allocated once per call, and each search reads, relabels
-    and resets only the vertices of its own tree, so a search costs time
-    in its tree's size rather than in n.  A contracted blossom relabels
-    just the members of the blossoms it swallows, and queues the inner
-    vertices that turn outer in ascending id order: the order a scan of
-    all n vertices would give.  The matching is therefore the same, edge
-    for edge, as that of a search that rebuilds its state at every root.
+
+def _mates(g: Graph, live: int | None) -> list[int]:
+    """Each vertex's mate in a maximum matching of g on the mask live, or -1.
+
+    A dead vertex's mate is -1.  Roots are tried in ascending id order and
+    adjacency lists are already sorted, so the mates are deterministic.
+    A free root with a free neighbour is matched to its least one; any
+    other free root starts a breadth-first alternating search (Edmonds,
+    "Paths, trees, and flowers", 1965).  The search state is allocated
+    once per call, and each search reads, relabels and resets only the
+    vertices of its own tree, so a search costs time in its tree's size
+    rather than in n.  A contracted blossom relabels just the members of
+    the blossoms it swallows, and queues the inner vertices that turn
+    outer in ascending id order: the order a scan of all n vertices would
+    give.  The matching is therefore the same, edge for edge, as that of a
+    search that rebuilds its state at every root.
     """
     n = g.vertex_count
     adj = g.adjacency
@@ -206,8 +213,7 @@ def max_matching(g: Graph, live: int | None = None) -> MatchingState:
         else:
             search(root)
 
-    pairs = [(v, mate[v]) for v in range(n) if mate[v] > v]
-    return MatchingState.from_pairs(pairs, g)
+    return mate
 
 
 def has_perfect_matching(g: Graph, live: int | None = None) -> bool:
@@ -215,7 +221,7 @@ def has_perfect_matching(g: Graph, live: int | None = None) -> bool:
     count = _live_mask(g, live).bit_count()
     if count % 2 == 1:
         return False
-    return 2 * max_matching(g, live).size == count
+    return sum(u >= 0 for u in _mates(g, live)) == count
 
 
 def is_allowed_edge(g: Graph, e: Edge) -> bool:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -73,16 +72,6 @@ class Orientation:
             seen.add(e)
             if h not in (e.u, e.v):
                 raise InputError(f"head {h} is not an endpoint of {e}")
-
-    @cached_property
-    def _lookup(self) -> dict[Edge, int]:
-        return dict(self.heads)
-
-    def head(self, e: Edge) -> int:
-        return self._lookup[e]
-
-    def __len__(self) -> int:
-        return len(self.heads)
 
 
 @dataclass(frozen=True)

@@ -354,20 +354,27 @@ def runnable_windows(draw) -> Window:
 class TestLevelCertificate:
     SCHEDULE = hand_schedule(9, (1, 2, 3))
 
-    @given(runnable_windows())
+    @given(runnable_windows(), st.booleans())
     @example(disjoint_union([  # an edgeless frontier vertex, a triangle, an edge
         Window(Graph.empty(1), frozenset(), (2,)),
         Window.closed(fixture("cycle(3)")),
         Window.closed(fixture("path(2)")),
-    ], [3, 0, 5, 1, 4, 2]))
-    @example(Window(fixture("path(3)"), frozenset({0, 1}), (0, 0, 1)))
+    ], [3, 0, 5, 1, 4, 2]), False)
+    @example(Window(fixture("path(3)"), frozenset({0, 1}), (0, 0, 1)), False)
+    @example(Window(fixture("path(3)"), frozenset({0, 1}), (0, 0, 1)), True)
     @settings(max_examples=150, deadline=None)
-    def test_odd_component_count_matches_oracle(self, w):
+    def test_odd_component_count_matches_oracle(self, w, small_eps):
         # Each level's count is that of the adjacency-list oracle on the
-        # level window: the input minus everything covered so far.
-        run = run_layered_matching(w, self.SCHEDULE, build_nets(w, self.SCHEDULE), 1)
+        # level window: the input minus everything covered so far.  At
+        # epsilon 9 the report walks every X; at epsilon 1 an open window
+        # takes the piece walk, and k above the window's size is certified
+        # by a perfect matching when there is one.
+        schedule = hand_schedule(1, (8, 16, 32)) if small_eps else self.SCHEDULE
+        run = run_layered_matching(w, schedule, build_nets(w, schedule), 1)
         covered: set[int] = set()
         for cert in run.levels:
+            assert cert.tutte.k == schedule.levels[cert.level]
+            assert cert.tutte.epsilon == schedule.eps[cert.level]
             covered.update(v for e in cert.chosen_edges for v in e)
             level_window = remove_window_vertices(w, covered).window
             expected = len(hull_report(level_window, ()).odd_components)
@@ -377,9 +384,7 @@ class TestLevelCertificate:
     @settings(max_examples=150, deadline=None)
     def test_tutte_report_is_the_level_windows_in_input_ids(self, w, max_x, small_eps):
         # Each level's report is the check run on a copy of the level window,
-        # its witnesses mapped back to input ids.  At epsilon <= 1 an open
-        # window takes the piece walk, and k above the window's size is
-        # certified by a perfect matching when there is one.
+        # its witnesses mapped back to input ids.
         schedule = hand_schedule(1, (8, 16, 32)) if small_eps else self.SCHEDULE
         run = run_layered_matching(w, schedule, build_nets(w, schedule), max_x)
         covered: set[int] = set()
@@ -387,6 +392,7 @@ class TestLevelCertificate:
             covered.update(v for e in cert.chosen_edges for v in e)
             sub = remove_window_vertices(w, covered)
             ids = sub.original_ids
-            report = check_tutte_eps_k(sub.window, cert.eps_n, cert.f_n, max_x)
+            tutte = cert.tutte
+            report = check_tutte_eps_k(sub.window, tutte.epsilon, tutte.k, max_x)
             assert cert.tutte == replace(report, violations=tuple(
                 replace(v, x=tuple(ids[i] for i in v.x)) for v in report.violations))

@@ -50,6 +50,7 @@ ALLOWED = {
     "matching": {"core"},
     "verifier": {"core", "matching"},
     "orientation": {"core", "matching"},
+    "layered": {"core", "matching", "verifier"},
 }
 
 
@@ -58,8 +59,17 @@ def test_module_imports_only_lower_layers(module):
     assert sibling_imports(module) <= ALLOWED[module]
 
 
-def test_layered_does_not_import_cli():
-    assert "cli" not in sibling_imports("layered")
+def test_layered_asks_core_no_graph_question():
+    # The level certificate reads its odd components from its Tutte
+    # report; layered takes only core's types, never a component search.
+    tree = ast.parse((PACKAGE / "layered.py").read_text(encoding="utf-8"))
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, "core")
+        for alias in node.names
+    }
+    assert names == {"Edge", "Graph", "InputError", "Window"}
 
 
 def unused_imports(source: str) -> set[str]:

@@ -217,6 +217,8 @@ class TestLiveMask:
         assert max_matching(g, live).edges == tuple(
             Edge.of(ids[e.u], ids[e.v]) for e in want.edges)
         assert has_perfect_matching(g, live) == has_perfect_matching(sub.graph)
+        assert has_perfect_matching(g, live) == (
+            2 * brute_matching_size(sub.graph) == len(ids))
 
     @given(graphs(max_n=14, max_density=0.5), st.data())
     @settings(max_examples=300, deadline=None)
@@ -256,6 +258,19 @@ class TestAllowedEdge:
     def test_missing_edge_rejected(self):
         with pytest.raises(InputError):
             is_allowed_edge(fixture("path(4)"), Edge.of(0, 2))
+
+    def test_tests_build_no_matching_state(self, monkeypatch):
+        # The yes/no tests read the blossom search's mates; only
+        # max_matching builds and validates a MatchingState.
+        def broken(cls, pairs, host=None):
+            raise AssertionError("MatchingState built")
+
+        monkeypatch.setattr(MatchingState, "from_pairs", classmethod(broken))
+        g = fixture("cycle(6)")
+        assert has_perfect_matching(g)
+        assert has_perfect_matching(g, g.full_mask ^ 0b11)
+        assert is_allowed_edge(g, Edge.of(0, 1))
+        assert not is_allowed_edge(fixture("path(4)"), Edge.of(1, 2))
 
     @given(graphs(min_n=2, max_n=8))
     @settings(max_examples=60, deadline=None)
