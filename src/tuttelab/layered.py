@@ -92,15 +92,13 @@ def build_schedule(epsilon: Fraction | int | str, level_count: int) -> Schedule:
 
 @dataclass(frozen=True)
 class NetLevels:
-    """Per-level vertex nets A_n plus the interior vertices left over.
+    """Per-level vertex nets A_n over the interior of a window.
 
     Distinct vertices of A_n sit at graph distance > f(n); levels are
-    pairwise disjoint and, together with the residual, cover exactly the
-    interior of the window they were built from.
+    pairwise disjoint subsets of the interior.
     """
 
     levels: tuple[tuple[int, ...], ...]
-    residual: tuple[int, ...]
 
 
 def build_nets(w: Window, schedule: Schedule) -> NetLevels:
@@ -139,7 +137,7 @@ def build_nets(w: Window, schedule: Schedule) -> NetLevels:
         levels.append(tuple(chosen))
         chosen_set = set(chosen)
         remaining = [v for v in remaining if v not in chosen_set]
-    return NetLevels(tuple(levels), tuple(remaining))
+    return NetLevels(tuple(levels))
 
 
 def _least_allowed(g: Graph, live: int, x: int) -> int | None:
@@ -174,17 +172,13 @@ class LevelCertificate:
 
     @property
     def odd_component_count(self) -> int:
-        # Clause (i) at X = () flags exactly the odd finite components, and
-        # X runs in (size, lex) order, so that violation comes first if at
-        # all.  A report certified by a perfect matching has none.
+        """Odd finite components of the level window: clause (i)'s count at
+        X = (), which comes first in (size, lex) order if at all; none when
+        a perfect matching certified the report."""
         for v in self.tutte.violations[:1]:
             if v.x == () and v.kind == "tutte":
                 return v.count
         return 0
-
-    @property
-    def no_odd_components(self) -> bool:
-        return self.odd_component_count == 0
 
     @property
     def passed(self) -> bool:

@@ -9,22 +9,25 @@ matching takes near-linear time.  The search (a private kernel that
 returns the mate array), the perfect-matching test, which only counts
 mates, and the allowed-edge test run on the host graph under a live
 mask: the vertices outside it are skipped, never copied out, so a caller
-that deletes vertices keeps the host's ids.  Hopcroft-Karp is the gadget
-route's kernel, a private loop on rows of right-side indices: the
-orientation module calls it on rows it computes from the host graph,
-without building a gadget graph.  Both scan vertices and adjacency rows in
-canonical order, so results are reproducible run to run.  The
-Tutte-Berge deficiency is an exhaustive, enumeration-based cross-oracle:
-it never consults the augmenting-path machinery.  Its X-enumeration is
-core's ``finite_cuts``; this module imports only core, so the verifier
-may import the oracles: its Tutte check asks :func:`has_perfect_matching`
-for a certificate when k exceeds the window.
+that deletes vertices keeps the host's ids.  :func:`max_matching` reads
+the mates of all of g into a :class:`MatchingState`, which stores only
+its edges.  Hopcroft-Karp is the gadget route's kernel, a private loop on
+rows of right-side indices: the orientation module calls it on rows it
+computes from the host graph, without building a gadget graph.  Both scan
+vertices and adjacency rows in canonical order, so results are
+reproducible run to run.  The Tutte-Berge deficiency is an exhaustive,
+enumeration-based cross-oracle: it never consults the augmenting-path
+machinery.  Its X-enumeration is core's ``finite_cuts``; this module
+imports only core, so the verifier may import the oracles: its Tutte
+check asks :func:`has_perfect_matching` for a certificate when k exceeds
+the window.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Edge, Graph, InputError, _live_mask, finite_cuts
@@ -32,10 +35,9 @@ from .core import Edge, Graph, InputError, _live_mask, finite_cuts
 
 @dataclass(frozen=True)
 class MatchingState:
-    """A set of pairwise vertex-disjoint edges plus the covered vertices."""
+    """A set of pairwise vertex-disjoint edges, in ascending order."""
 
     edges: tuple[Edge, ...]
-    covered: frozenset[int]
 
     def __post_init__(self) -> None:
         seen: set[int] = set()
@@ -44,20 +46,22 @@ class MatchingState:
                 raise InputError(f"matching edges share vertex in {e}")
             seen.add(e.u)
             seen.add(e.v)
-        if seen != set(self.covered):
-            raise InputError("covered set does not match edge endpoints")
 
     @classmethod
     def from_pairs(
-        cls, pairs: Iterable[tuple[int, int]], host: Graph | None = None
+        cls, pairs: Iterable[tuple[int, int]], host: Graph
     ) -> "MatchingState":
+        """The matching of the pairs, each of them an edge of host."""
         edges = sorted(Edge.of(a, b) for a, b in pairs)
-        if host is not None:
-            for e in edges:
-                if not host.has_edge(e.u, e.v):
-                    raise InputError(f"edge {e} not present in host graph")
-        covered = frozenset(v for e in edges for v in e)
-        return cls(tuple(edges), covered)
+        for e in edges:
+            if not host.has_edge(e.u, e.v):
+                raise InputError(f"edge {e} not present in host graph")
+        return cls(tuple(edges))
+
+    @cached_property
+    def covered(self) -> frozenset[int]:
+        """The endpoints of the edges."""
+        return frozenset(v for e in self.edges for v in e)
 
     @property
     def size(self) -> int:
@@ -67,13 +71,9 @@ class MatchingState:
         return len(self.covered) == g.vertex_count
 
 
-def max_matching(g: Graph, live: int | None = None) -> MatchingState:
-    """Maximum-cardinality matching via blossom contraction (:func:`_mates`).
-
-    With ``live``, it is, edge for edge, the matching of the subgraph
-    induced on that mask, copied out in ascending order, in g's ids.
-    """
-    pairs = [(v, u) for v, u in enumerate(_mates(g, live)) if u > v]
+def max_matching(g: Graph) -> MatchingState:
+    """Maximum-cardinality matching via blossom contraction (:func:`_mates`)."""
+    pairs = [(v, u) for v, u in enumerate(_mates(g, None)) if u > v]
     return MatchingState.from_pairs(pairs, g)
 
 

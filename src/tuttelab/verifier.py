@@ -99,9 +99,13 @@ class TutteReport:
 class ExpansionReport:
     delta_lower: Fraction
     delta_witness: tuple[int, ...]
-    witness_boundary: int
     max_f: int
     checked: int
+
+    @property
+    def witness_boundary(self) -> int:
+        """The witness's edge boundary plus its stubs: the ratio's numerator."""
+        return int(self.delta_lower * len(self.delta_witness))
 
 
 def _mask_boundary(masks: Sequence[int], stubs: Sequence[int], f: int) -> int:
@@ -214,7 +218,6 @@ def expansion_constant(w: Window, max_f: int) -> ExpansionReport:
     return ExpansionReport(
         delta_lower=delta,
         delta_witness=witness,
-        witness_boundary=int(delta * len(witness)),
         max_f=max_f,
         checked=checked,
     )

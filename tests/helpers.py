@@ -439,7 +439,7 @@ def random_connected_graph(rng: random.Random, n: int, extra: float = 0.25) -> G
 def random_tree(rng: random.Random, n: int) -> Graph:
     """Uniform random tree from a random Pruefer sequence."""
     if n == 1:
-        return Graph.empty(1)
+        return Graph.from_edges(1, ())
     if n == 2:
         return Graph.from_edges(2, [(0, 1)])
     seq = [rng.randrange(n) for _ in range(n - 2)]

@@ -326,7 +326,7 @@ class TestExitCodes:
 
     def test_edgeless_orient_prints_nothing(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
-        path.write_text(format_graph(Graph.empty(3)))
+        path.write_text(format_graph(Graph.from_edges(3, ())))
         assert run_cli(capsys, "orient", str(path)) == (0, "", "")
 
 

@@ -170,7 +170,7 @@ VERTEX_ID_ENTRY_POINTS = {
     # vertex 0 and the run would pass, and 6 would be recorded as a failed
     # vertex, as if Tutte's condition had failed.
     "layered_nets": lambda v: run_layered_matching(
-        Window.closed(CYCLE6), build_schedule(Fraction(1, 8), 1), NetLevels(((v,),), ()), 2
+        Window.closed(CYCLE6), build_schedule(Fraction(1, 8), 1), NetLevels(((v,),)), 2
     ),
 }
 
@@ -194,7 +194,7 @@ class TestVertexIdCheck:
     def test_valid_ids_come_back_as_a_set(self):
         assert CYCLE6.vertex_set(iter([5, 0, 5])) == {0, 5}
         assert CYCLE6.vertex_set(()) == set()
-        assert Graph.empty(0).vertex_set([]) == set()
+        assert Graph.from_edges(0, ()).vertex_set([]) == set()
 
 
 class TestConnectedComponents:
@@ -202,7 +202,7 @@ class TestConnectedComponents:
         assert connected_components(fixture("path(3)")) == [[0, 1, 2]]
 
     def test_empty_graph(self):
-        assert connected_components(Graph.empty(3)) == [[0], [1], [2]]
+        assert connected_components(Graph.from_edges(3, ())) == [[0], [1], [2]]
 
     def test_two_disjoint_edges(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -560,7 +560,7 @@ class TestWindowValidation:
                 if k > 0 and v in interior:
                     want = f"interior vertex {v} has external stubs"
                     break
-        g = Graph.empty(n)
+        g = Graph.from_edges(n, ())
         if want is None:
             Window(g, interior, tuple(stubs))
         else:

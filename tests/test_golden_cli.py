@@ -56,7 +56,7 @@ INPUTS = {
     "triangles": lambda: format_graph(
         Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     ),
-    "empty3": lambda: format_graph(Graph.empty(3)),
+    "empty3": lambda: format_graph(Graph.from_edges(3, ())),
     "grandparent3": lambda: format_window(grandparent_window(3)),
     "cycle8": lambda: format_graph(fixture("cycle(8)")),
     "cycle40": lambda: format_graph(fixture("cycle(40)")),

@@ -25,6 +25,7 @@ from tuttelab import (
     tutte_berge_deficiency,
 )
 from tuttelab.core import mask_of
+from tuttelab.matching import _mates
 
 
 @st.composite
@@ -32,7 +33,7 @@ def graphs(draw, min_n=1, max_n=10, max_density=1.0):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = list(itertools.combinations(range(n), 2))
     if not pairs:
-        return Graph.empty(n)
+        return Graph.from_edges(n, ())
     edges = draw(
         st.sets(st.sampled_from(pairs), max_size=int(max_density * len(pairs)))
     )
@@ -60,16 +61,33 @@ SMALL_FIXTURES = [
 
 class TestMatchingState:
     def test_rejects_overlapping_edges(self):
-        with pytest.raises(InputError):
-            MatchingState.from_pairs([(0, 1), (1, 2)])
+        with pytest.raises(InputError, match=r"share vertex in Edge\(u=1, v=2\)"):
+            MatchingState.from_pairs([(0, 1), (1, 2)], fixture("path(3)"))
 
     def test_rejects_edges_outside_host(self):
         with pytest.raises(InputError):
             MatchingState.from_pairs([(0, 2)], fixture("path(3)"))
 
     def test_covered_is_union_of_endpoints(self):
-        m = MatchingState.from_pairs([(0, 1), (2, 3)])
+        m = MatchingState.from_pairs([(0, 1), (2, 3)], fixture("path(4)"))
         assert m.covered == frozenset({0, 1, 2, 3})
+
+    @given(graphs(max_n=14), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_covered_recounted_and_pair_order_ignored(self, g, rnd):
+        # covered against the blossom kernel's mates, and against a scan of
+        # the vertices; from_pairs reads the pairs in any order and either
+        # orientation, down to the hash.
+        m = max_matching(g)
+        mate = _mates(g, None)
+        assert m.covered == {v for v in range(g.vertex_count) if mate[v] >= 0}
+        assert m.covered == {
+            v for v in range(g.vertex_count) if any(v in e for e in m.edges)}
+        pairs = [(e.v, e.u) if rnd.random() < 0.5 else e for e in m.edges]
+        rnd.shuffle(pairs)
+        again = MatchingState.from_pairs(pairs, g)
+        assert again == m and hash(again) == hash(m)
+        assert again.covered == m.covered
 
 
 class TestMaxMatching:
@@ -214,8 +232,10 @@ class TestLiveMask:
         ids = sub.original_ids
         live = mask_of(ids)
         want = max_matching(sub.graph)
-        assert max_matching(g, live).edges == tuple(
+        mate = _mates(g, live)
+        assert tuple(Edge(v, u) for v, u in enumerate(mate) if u > v) == tuple(
             Edge.of(ids[e.u], ids[e.v]) for e in want.edges)
+        assert all(mate[v] == -1 for v in removed)
         assert has_perfect_matching(g, live) == has_perfect_matching(sub.graph)
         assert has_perfect_matching(g, live) == (
             2 * brute_matching_size(sub.graph) == len(ids))
@@ -239,8 +259,6 @@ class TestLiveMask:
         g = fixture("cycle(4)")
         for live in (-1, 1 << 4):
             with pytest.raises(InputError, match="live mask"):
-                max_matching(g, live)
-            with pytest.raises(InputError, match="live mask"):
                 has_perfect_matching(g, live)
 
 
@@ -262,7 +280,7 @@ class TestAllowedEdge:
     def test_tests_build_no_matching_state(self, monkeypatch):
         # The yes/no tests read the blossom search's mates; only
         # max_matching builds and validates a MatchingState.
-        def broken(cls, pairs, host=None):
+        def broken(cls, pairs, host):
             raise AssertionError("MatchingState built")
 
         monkeypatch.setattr(MatchingState, "from_pairs", classmethod(broken))

@@ -315,6 +315,16 @@ class TestEdgeBoundary:
         assert boundary(w, f) + 2 * inside == degree_sum
 
 
+def recounted_boundary(w, f):
+    """Edges leaving f plus the external stubs of f, recounted from the
+    adjacency rows."""
+    inside = set(f)
+    return sum(
+        w.external_stubs[v] + sum(u not in inside for u in w.graph.adjacency[v])
+        for v in f
+    )
+
+
 class TestExpansionConstant:
     def test_cycle8(self):
         w = Window.closed(fixture("cycle(8)"))
@@ -340,10 +350,12 @@ class TestExpansionConstant:
         rng = random.Random(9)
         for _ in range(20):
             g = random_graph(rng, rng.randint(2, 8), 0.5)
-            rep = expansion_constant(Window.closed(g), 4)
+            w = Window.closed(g)
+            rep = expansion_constant(w, 4)
             best, witness, connected = brute_force_expansion(g, (0,) * g.vertex_count, 4)
             assert rep.delta_lower == best
             assert rep.delta_witness == witness
+            assert rep.witness_boundary == recounted_boundary(w, witness)
             assert rep.checked == connected
 
     def test_bad_max_f(self):
@@ -369,7 +381,7 @@ class TestExpansionConstant:
             rep = expansion_constant(w, max_f)
             assert rep.delta_lower == best
             assert rep.delta_witness == witness
-            assert rep.witness_boundary == best * len(witness)
+            assert rep.witness_boundary == recounted_boundary(w, witness)
             assert rep.checked == connected
 
 
