@@ -16,7 +16,8 @@ a finite piece, found by :func:`_pieces`), :func:`_connected_sets`
 (connected F) and :func:`_min_ratios` (the least ratio over F).  Both X
 walks hand the windows with a frontier, and the closed ones where every X
 misses a component of G, to one seeded walk, :func:`_open_cuts`: the only
-code that reuses G's components, searching only from N(X).  These kernels
+code that reuses G's components.  It searches only from N(X), joins the
+finite components of G that X misses, and sorts once.  These kernels
 are the package's only component search; a single X, such as the empty
 one a layered certificate asks about, is the first item of
 :func:`finite_cuts` with ``max_x = 0``.  The X walks read g under a live
@@ -284,8 +285,8 @@ def _finite_components(
 
     Each search starts at the least seed left and stops at the first
     breadth-first layer that touches frontier_mask (never, when it is 0);
-    no vertex it reached starts another search.  The components come
-    sorted by least vertex, the order of :func:`mask_components`.
+    no vertex it reached starts another search.  The components come in
+    the order their searches ran.
     """
     comps = []
     seeds &= avail
@@ -304,8 +305,6 @@ def _finite_components(
         if not layer:
             comps.append(comp)
         seeds &= ~(comp | layer)
-    if len(comps) > 1:
-        comps.sort(key=lambda comp: comp & -comp)
     return comps
 
 
@@ -334,8 +333,8 @@ def finite_cuts(
     walks the X: it reuses the finite components of g that X misses and
     searches only from N(X).  :func:`_piece_cuts` walks only the X that
     can leave a finite component.  Both walks stay: sending every closed
-    window to :func:`_open_cuts` made the all-X walks of 523 small closed
-    graphs 1.18 times slower on the connected ones, 1.40 on the others.
+    window to :func:`_open_cuts` made a pass over the benchmark's closed
+    corpus (523 small graphs, 265 even-degree ones) 1.22 times slower.
     """
     live = _live_mask(g, live)
     masks = g.neighbor_masks
@@ -362,18 +361,16 @@ def _piece_cuts(
     of equal-sized Y, so the streams of X of each size merge into (size,
     lex) order, and repeats are dropped.  When the streams would hold at
     least as many X as there are subsets of size <= max_x, all subsets are
-    walked instead, as in :func:`finite_cuts`.
+    walked instead, by :func:`finite_cuts`.
     """
     masks = g.neighbor_masks
-    comps = mask_components(masks, live)
     pools: dict[int, int] = {}
     for c, nc in _pieces(masks, frontier_mask, max_x, live):
         pools[nc] = pools.get(nc, 0) | live & ~(c | nc)
     walked = sum(_subset_count(pool.bit_count(), max_x - nc.bit_count())
                  for nc, pool in pools.items())
     if walked >= _subset_count(live.bit_count(), max_x):
-        subsets = iter_subsets(vertices_of(live), max_x)
-        return _open_cuts(g, frontier_mask, live, comps, subsets)
+        return finite_cuts(g, frontier_mask, max_x, live)
     pieces = [(vertices_of(nc), pool) for nc, pool in pools.items()]
 
     def of_size(nverts: tuple[int, ...], pool: int, size: int) -> Iterator[tuple[int, ...]]:
@@ -390,7 +387,7 @@ def _piece_cuts(
             of_size(nverts, pool, size) for nverts, pool in pieces if len(nverts) <= size
         )))
     )
-    return _open_cuts(g, frontier_mask, live, comps, subsets)
+    return _open_cuts(g, frontier_mask, live, mask_components(masks, live), subsets)
 
 
 def _open_cuts(
@@ -400,42 +397,22 @@ def _open_cuts(
     """(X, mask of X, finite component masks of g - X) for each X of subsets,
     where g is read on the mask live and comps lists its components.
 
-    A finite component of g - X is either a finite component of g that X
-    misses, taken as it is from ``whole`` (each vertex's component of g),
-    or lies in a component of g that X touches and holds a vertex of N(X);
-    only the latter are searched, from N(X) minus X, by
-    :func:`_finite_components`.  The least vertex not yet listed either
-    lies in a component X misses or starts the next component the search
-    found, which come sorted by least vertex, so the list comes in that
-    order without sorting the components X misses.
+    A component of g that X misses is still a component of g - X, and no
+    vertex of N(X) lies in it; every other finite component of g - X holds
+    a vertex of N(X).  So each X searches only from N(X) minus X, by
+    :func:`_finite_components`, joins the finite components of g that X
+    misses, and sorts the list once by least vertex.
     """
     masks = g.neighbor_masks
-    whole = [0] * len(masks)
-    finite = 0
-    for comp in comps:
-        if not comp & frontier_mask:
-            finite |= comp
-        for v in vertices_of(comp):
-            whole[v] = comp
+    finite = [comp for comp in comps if not comp & frontier_mask]
     for xs in subsets:
-        xmask = touched = nbrs = 0
+        xmask = nbrs = 0
         for v in xs:
             xmask |= 1 << v
-            touched |= whole[v]
             nbrs |= masks[v]
         found = _finite_components(masks, live & ~xmask, nbrs, frontier_mask)
-        rest = finite & ~touched
-        if rest:
-            split = iter(found)
-            for comp in found:
-                rest |= comp
-            found = []
-            while rest:
-                comp = whole[(rest & -rest).bit_length() - 1]
-                if comp & xmask:
-                    comp = next(split)
-                found.append(comp)
-                rest &= ~comp
+        found += [comp for comp in finite if not comp & xmask]
+        found.sort(key=lambda comp: comp & -comp)
         yield xs, xmask, found
 
 

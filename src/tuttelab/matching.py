@@ -98,14 +98,11 @@ def _mates(g: Graph, live: int | None) -> list[int]:
     mate = [-1] * n
     # Search state, reset after each search on that search's tree only.
     used = [False] * n
-    if live is None:
-        parent = [-1] * n
-    else:
-        # A dead vertex looks held by a tree (a parent, no mate): the scan
-        # passes it, and the root loop and greedy match test for it.  Bit n
-        # pads the string to n digits past its leading "1", dropped here.
-        bits = f"{_live_mask(g, live) | 1 << n:b}"[:0:-1]
-        parent = [-1 if bit == "1" else n for bit in bits]
+    # A dead vertex looks held by a tree (a parent, no mate): the scan passes
+    # it, and the root loop and greedy match test for it.  Bit n pads the
+    # string to n digits past its leading "1", dropped here.
+    bits = f"{_live_mask(g, live) | 1 << n:b}"[:0:-1]
+    parent = [-1 if bit == "1" else n for bit in bits]
     base = list(range(n))
     # Stamp marks: each lca walk and each blossom takes a fresh stamp, so
     # the array never needs clearing.

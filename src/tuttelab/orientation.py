@@ -181,17 +181,13 @@ def eulerian_orientation(g: Graph) -> Orientation:
             raise InputError(f"vertex {v} has odd degree {g.degree(v)}")
     adj = g.adjacency
     edges = g.edges()
-    # slot[v][j] is the position in ``edges`` of the edge to adj[v][j]: the
-    # rows of v's lesser neighbours reach v in ascending order, before v
-    # lists its greater ones.
+    # slot[v][j] is the position in ``edges`` of the edge to adj[v][j]: in
+    # lexicographic order the edges to v's lesser neighbours come in
+    # ascending order, before those to its greater ones.
     slot: list[list[int]] = [[] for _ in adj]
-    i = 0
-    for v, row in enumerate(adj):
-        for u in row:
-            if u > v:
-                slot[v].append(i)
-                slot[u].append(i)
-                i += 1
+    for i, (v, u) in enumerate(edges):
+        slot[v].append(i)
+        slot[u].append(i)
     heads = [-1] * len(edges)
     ptr = [0] * g.vertex_count
     for start in range(g.vertex_count):

@@ -48,6 +48,7 @@ from tuttelab.core import (
     finite_cuts,
     iter_subsets,
     mask_of,
+    vertices_of,
 )
 from tuttelab.verifier import _mask_boundary
 
@@ -361,29 +362,36 @@ def connected_graphs(draw, max_n=3):
 
 class TestSeededWalk:
     @given(windows(max_n=4), st.lists(connected_graphs(), max_size=2), st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_cuts_on_a_window_beside_closed_components(self, w, parts, data):
         # Ids shuffled, so the components X misses and the pieces of those it
         # touches interleave; max_x on both sides of the component count,
-        # where a closed window changes walk.
+        # where a closed window changes walk.  The walks read the union on a
+        # live mask (empty, full or random) as the copy without the dead
+        # vertices, whose ids original_ids maps back in increasing order.
         parts = [w] + [Window.closed(p) for p in parts]
         n = sum(p.graph.vertex_count for p in parts)
         union = disjoint_union(parts, data.draw(st.permutations(range(n))))
         g = union.graph
-        count = len(connected_components(g))
-        max_x = min(n, max(0, count + data.draw(st.integers(-2, 1))))
+        live = data.draw(st.sampled_from([0, g.full_mask]) | st.integers(0, g.full_mask))
+        sub = remove_window_vertices(union, vertices_of(g.full_mask & ~live))
+        ids = sub.original_ids
+        count = len(connected_components(sub.graph))
+        max_x = min(len(ids), max(0, count + data.draw(st.integers(-2, 1))))
         expected = {
-            xs: [mask_of(c) for c in classify_components(union, xs)[0]]
-            for xs in iter_subsets(range(n), max_x)
+            tuple(ids[v] for v in xs): [
+                mask_of(ids[v] for v in c) for c in classify_components(sub.window, xs)[0]]
+            for xs in iter_subsets(range(len(ids)), max_x)
         }
-        every = list(finite_cuts(g, union.frontier_mask, max_x))
+        frontier = union.frontier_mask & live
+        every = list(finite_cuts(g, frontier, max_x, live))
         assert [(xs, xmask) for xs, xmask, _ in every] == [
             (xs, mask_of(xs)) for xs in expected]
         assert all(comps == expected[xs] for xs, _, comps in every)
-        if union.frontier_mask:
+        if frontier:
             # In (size, lex) order, once each, and every X that leaves a
             # finite component is walked.
-            walked = list(_piece_cuts(g, union.frontier_mask, max_x, g.full_mask))
+            walked = list(_piece_cuts(g, frontier, max_x, live))
             xss = {xs for xs, _, _ in walked}
             assert [xs for xs, _, _ in walked] == [xs for xs in expected if xs in xss]
             assert all(comps == expected[xs] for xs, _, comps in walked)

@@ -188,24 +188,36 @@ def test_every_exported_function_is_used_outside_the_tests():
     assert unreferenced_exports() == set()
 
 
+def called_name(func: ast.expr) -> str | None:
+    """The name a call of func calls: a Name's id or an Attribute's attr."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
 def call_shapes(source: str) -> dict[str, list[tuple[int, frozenset[str]]]]:
-    """Each call in source, keyed by the name it calls (a Name's id or an
-    Attribute's attr): its count of positional arguments and the keywords
-    it passes.  A call that unpacks ``*args`` or ``**kwargs`` shows neither,
-    and is left out."""
+    """Each call in source, keyed by the name it calls (see
+    :func:`called_name`): its count of positional arguments and the
+    keywords it passes.  Bench's timer call ``clock(label, fn, *args)``
+    also counts as a call of fn with the arguments after it.  A call that
+    unpacks ``*args`` or ``**kwargs`` shows neither, and is left out."""
     calls = defaultdict(list)
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call) or any(
             isinstance(a, ast.Starred) for a in node.args
         ) or any(k.arg is None for k in node.keywords):
             continue
-        if isinstance(node.func, ast.Name):
-            name = node.func.id
-        elif isinstance(node.func, ast.Attribute):
-            name = node.func.attr
-        else:
+        name = called_name(node.func)
+        if name is None:
             continue
-        calls[name].append((len(node.args), frozenset(k.arg for k in node.keywords)))
+        keywords = frozenset(k.arg for k in node.keywords)
+        calls[name].append((len(node.args), keywords))
+        if name == "clock" and len(node.args) >= 2:
+            inner = called_name(node.args[1])
+            if inner is not None:
+                calls[inner].append((len(node.args) - 2, keywords))
     return calls
 
 
@@ -325,12 +337,17 @@ def test_call_reader():
         "check(*args)\n"
         "check(w, **options)\n"
         "print(report.passed)\n"
+        "clock('x_enum', tl.check, w, 0, 1, n)\n"
+        "clock('x_enum', check, w, live=mask)\n"
     )
     calls = call_shapes(source)
     assert sorted(calls["check"]) == [
-        (1, frozenset()), (2, frozenset({"live"})), (3, frozenset())]
+        (1, frozenset()), (1, frozenset({"live"})), (2, frozenset({"live"})),
+        (3, frozenset()), (4, frozenset())]
     assert calls["print"] == [(1, frozenset())]
-    assert set(calls) == {"check", "print"}
+    assert sorted(calls["clock"]) == [
+        (3, frozenset({"live"})), (6, frozenset())]
+    assert set(calls) == {"check", "print", "clock"}
 
 
 def test_option_rule():
