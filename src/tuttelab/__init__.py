@@ -39,7 +39,6 @@ from .verifier import (
 )
 from .layered import (
     LevelCertificate,
-    NetLevels,
     RunCertificate,
     Schedule,
     build_nets,

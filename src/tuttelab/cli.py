@@ -197,9 +197,9 @@ def _cmd_layered(args: argparse.Namespace) -> tuple[str, bool]:
     nets = layered.build_nets(w, schedule)
     run = layered.run_layered_matching(w, schedule, nets, args.cert_max_x)
     out = []
-    for cert in run.levels:
+    for level, cert in enumerate(run.levels):
         out.append(
-            f"level={cert.level} chosen={len(cert.chosen_edges)} "
+            f"level={level} chosen={len(cert.chosen_edges)} "
             f"tutte={'pass' if cert.tutte.passed else 'fail'} "
             f"odd_components={cert.odd_component_count}"
             + (
@@ -232,9 +232,9 @@ def _cmd_gadget_audit(args: argparse.Namespace) -> tuple[str, bool]:
     w = _read_window(args.input)
     report = orientation.check_gadget_hall_expansion(w, args.epsilon, args.max_f)
     out = [f"Gadget Hall audit (epsilon={report.epsilon}, max_f={report.max_f})"]
-    for side in (report.edge_side, report.vertex_side):
+    for name, side in (("edge", report.edge_side), ("vertex", report.vertex_side)):
         out.append(
-            f"side={side.side} checked={side.checked} "
+            f"side={name} checked={side.checked} "
             f"min_ratio={side.min_ratio} witness={_format_ids(side.witness)} "
             f"min_ratio_credited={side.min_ratio_credited} "
             f"witness_credited={_format_ids(side.witness_credited)}"

@@ -4,8 +4,9 @@ Vertices are dense integer ids ``0..n-1``.  Edges are unordered pairs kept
 in normalized ``(min, max)`` form; the lexicographic order on those pairs
 is the canonical "least edge" order used by every other module.  A
 :class:`Window` wraps a graph together with truncation bookkeeping: which
-vertices are interior, and how many edges each frontier vertex sends out
-of the truncated region (external stubs).  Component searches use that
+vertices are interior (the others form the frontier, held as one
+bitmask), and how many edges each frontier vertex sends out of the
+truncated region (external stubs).  Component searches use that
 bookkeeping to decide which components of a vertex-deleted subgraph are
 genuinely finite and which would continue past the cut.
 
@@ -58,22 +59,16 @@ class Graph:
     """Simple undirected graph on vertices ``0..vertex_count-1``.
 
     ``adjacency[v]`` is the strictly increasing tuple of neighbors of
-    ``v``.  Construction validates symmetry, id ranges, and the absence
-    of loops and duplicate neighbors, so any Graph in hand is
-    structurally sound.  Instances are immutable and safe to share.
+    ``v``, and ``vertex_count`` is its number of rows.  Construction
+    validates symmetry, id ranges, and the absence of loops and duplicate
+    neighbors, so any Graph in hand is structurally sound.  Instances are
+    immutable and safe to share.
     """
 
-    vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = self.vertex_count
-        if n < 0:
-            raise InputError("vertex_count must be nonnegative")
-        if len(self.adjacency) != n:
-            raise InputError(
-                f"adjacency has {len(self.adjacency)} rows for {n} vertices"
-            )
+        n = len(self.adjacency)
         for v, nbrs in enumerate(self.adjacency):
             prev = -1
             for u in nbrs:
@@ -94,6 +89,8 @@ class Graph:
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an iterable of (u, v) pairs."""
+        if vertex_count < 0:
+            raise InputError("vertex_count must be nonnegative")
         nbrs: list[set[int]] = [set() for _ in range(vertex_count)]
         for a, b in edges:
             if not (0 <= a < vertex_count and 0 <= b < vertex_count):
@@ -102,7 +99,11 @@ class Graph:
                 raise InputError(f"loop edge at vertex {a}")
             nbrs[a].add(b)
             nbrs[b].add(a)
-        return cls(vertex_count, tuple(tuple(sorted(s)) for s in nbrs))
+        return cls(tuple(tuple(sorted(s)) for s in nbrs))
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.adjacency)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -123,13 +124,15 @@ class Graph:
     def vertex_set(self, vertices: Iterable[int]) -> set[int]:
         """The ids as a set; InputError names the least one out of range."""
         ids = set(vertices)
-        bad = [v for v in ids if not 0 <= v < self.vertex_count]
+        n = self.vertex_count
+        bad = [v for v in ids if not 0 <= v < n]
         if bad:
             raise InputError(f"vertex {min(bad)} out of range")
         return ids
 
     def has_edge(self, a: int, b: int) -> bool:
-        if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
+        n = self.vertex_count
+        if not (0 <= a < n and 0 <= b < n):
             return False
         return b in self.adjacency[a]
 
@@ -191,20 +194,14 @@ class Window:
         return cls(graph, frozenset(range(graph.vertex_count)),
                    (0,) * graph.vertex_count)
 
-    @cached_property
-    def frontier(self) -> frozenset[int]:
-        return frozenset(range(self.graph.vertex_count)) - self.interior
-
     @property
     def is_closed(self) -> bool:
-        return not self.frontier
+        return not self.frontier_mask
 
     @cached_property
     def frontier_mask(self) -> int:
-        m = 0
-        for v in self.frontier:
-            m |= 1 << v
-        return m
+        """The frontier, the vertices not in ``interior``, as a bitmask."""
+        return mask_of(set(range(self.graph.vertex_count)) - self.interior)
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +706,7 @@ def parse_window_text(text: str) -> Window:
         rows[v].append(u)
     for row in rows:
         row.sort()
-    graph = Graph(n, tuple(map(tuple, rows)))
+    graph = Graph(tuple(map(tuple, rows)))
     if interior is None:
         if stub_seen:
             raise InputError("stub lines require an interior line")

@@ -1,17 +1,17 @@
 """Level-by-level matching construction with certified invariants.
 
 The engine consumes a budget schedule (epsilon, f(0) < f(1) < ..., and
-the per-level residues eps_n = epsilon - sum_{m<=n} 4/f(m)), a stack of
-f(n)-separated vertex nets, and a window.  At level n it walks the net
-A_n in ascending order and, for each net vertex still present, picks the
-least incident edge whose removal (with both endpoints) keeps the
-remaining graph perfectly matchable.  Endpoints are removed immediately,
-so every later choice is validated against the current graph; the
-distance separation that justifies simultaneous choices in the infinite
-setting holds by the nets' construction, but is not relied on.  The
-remaining graph is never copied: the engine keeps one ``live`` vertex mask
-over the input window, clears the endpoints it covers, and asks every
-question of the input graph under that mask.
+the per-level residues eps_n = epsilon - sum_{m<=n} 4/f(m)), a tuple of
+f(n)-separated vertex nets A_n, one per level, and a window.  At level n
+it walks A_n in ascending order and, for each net vertex still present,
+picks the least incident edge whose removal (with both endpoints) keeps
+the remaining graph perfectly matchable.  Endpoints are removed
+immediately, so every later choice is validated against the current
+graph; the distance separation that justifies simultaneous choices in
+the infinite setting holds by the nets' construction, but is not relied
+on.  The remaining graph is never copied: the engine keeps one ``live``
+vertex mask over the input window, clears the endpoints it covers, and
+asks every question of the input graph under that mask.
 
 After each level the engine records a certificate: the remaining graph
 passes the quantitative Tutte check at (eps_n, f(n)) up to a
@@ -90,24 +90,16 @@ def build_schedule(epsilon: Fraction | int | str, level_count: int) -> Schedule:
     return Schedule(epsilon, tuple(c * (1 << n) for n in range(level_count)))
 
 
-@dataclass(frozen=True)
-class NetLevels:
-    """Per-level vertex nets A_n over the interior of a window.
-
-    Distinct vertices of A_n sit at graph distance > f(n); levels are
-    pairwise disjoint subsets of the interior.
-    """
-
-    levels: tuple[tuple[int, ...], ...]
-
-
-def build_nets(w: Window, schedule: Schedule) -> NetLevels:
-    """Greedy maximal f(n)-separated nets over the interior, level by level.
+def build_nets(w: Window, schedule: Schedule) -> tuple[tuple[int, ...], ...]:
+    """Greedy maximal f(n)-separated nets A_n over the interior, one per
+    level.
 
     Each level scans the not-yet-used interior vertices in ascending id
     order and keeps a vertex unless it is within distance f(n) of a
     vertex already kept on this level, so each A_n is maximal among the
-    remaining vertices.
+    remaining vertices.  Distinct vertices of A_n therefore sit at graph
+    distance > f(n), and the levels are pairwise disjoint subsets of the
+    interior, each in ascending order.
     """
     g = w.graph
     remaining = sorted(w.interior)
@@ -137,7 +129,7 @@ def build_nets(w: Window, schedule: Schedule) -> NetLevels:
         levels.append(tuple(chosen))
         chosen_set = set(chosen)
         remaining = [v for v in remaining if v not in chosen_set]
-    return NetLevels(tuple(levels))
+    return tuple(levels)
 
 
 def _least_allowed(g: Graph, live: int, x: int) -> int | None:
@@ -156,7 +148,8 @@ def _least_allowed(g: Graph, live: int, x: int) -> int | None:
 
 @dataclass(frozen=True)
 class LevelCertificate:
-    """What level ``level`` chose and what was checked on the graph it left.
+    """What one level chose and what was checked on the graph it left;
+    level n's certificate is ``RunCertificate.levels[n]``.
 
     The check runs on the level window: the input window minus every
     vertex covered so far.  ``tutte`` is its report at (eps_n, f(n)), so
@@ -165,7 +158,6 @@ class LevelCertificate:
     witnesses of ``tutte``, is an input window id.
     """
 
-    level: int
     chosen_edges: tuple[Edge, ...]
     tutte: TutteReport
     failed_vertices: tuple[int, ...]
@@ -202,25 +194,27 @@ class RunCertificate:
 
 
 def run_layered_matching(
-    w: Window, schedule: Schedule, nets: NetLevels, cert_max_x: int
+    w: Window, schedule: Schedule, nets: tuple[tuple[int, ...], ...], cert_max_x: int
 ) -> RunCertificate:
     """Run the level-by-level construction and certify each level.
 
-    Closed windows must be perfectly matchable up front.  On open windows
-    the run proceeds on the truncated graph and simply records a failure
-    (and aborts with the partial certificate) at the first net vertex
-    with no extendable edge.  Such an abort shows only that the truncated
-    graph minus the covered vertices, read as closed, has no perfect
-    matching.  On an open window that need not violate Tutte's condition:
-    frontier vertices, whose other neighbours lie outside the window, can
-    be the cause even when a matching covers every interior vertex.
+    ``nets[n]`` is the net A_n that level n walks, as :func:`build_nets`
+    gives it.  Closed windows must be perfectly matchable up front.  On
+    open windows the run proceeds on the truncated graph and simply
+    records a failure (and aborts with the partial certificate) at the
+    first net vertex with no extendable edge.  Such an abort shows only
+    that the truncated graph minus the covered vertices, read as closed,
+    has no perfect matching.  On an open window that need not violate
+    Tutte's condition: frontier vertices, whose other neighbours lie
+    outside the window, can be the cause even when a matching covers
+    every interior vertex.
     """
-    if len(nets.levels) != schedule.level_count:
+    if len(nets) != schedule.level_count:
         raise InputError("nets and schedule disagree on the number of levels")
     if cert_max_x < 1:
         raise InputError("cert_max_x must be positive")
     g = w.graph
-    g.vertex_set(v for net in nets.levels for v in net)
+    g.vertex_set(v for net in nets for v in net)
     if w.is_closed and not has_perfect_matching(g):
         raise InputError("closed window has no perfect matching")
 
@@ -228,9 +222,7 @@ def run_layered_matching(
     live = g.full_mask
     certificates: list[LevelCertificate] = []
 
-    for level_idx, (f_n, eps_n, net) in enumerate(
-        zip(schedule.levels, schedule.eps, nets.levels)
-    ):
+    for f_n, eps_n, net in zip(schedule.levels, schedule.eps, nets):
         chosen: list[Edge] = []
         failed: list[int] = []
         for x in sorted(net):
@@ -246,7 +238,6 @@ def run_layered_matching(
             live ^= 1 << x | 1 << u
         certificates.append(
             LevelCertificate(
-                level=level_idx,
                 chosen_edges=tuple(chosen),
                 tutte=check_tutte_eps_k(w, eps_n, f_n, cert_max_x, live),
                 failed_vertices=tuple(failed),

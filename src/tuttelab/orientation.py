@@ -107,9 +107,9 @@ def verify_balanced(g: Graph, o: Orientation, interior: Iterable[int]) -> Balanc
 
 def _gadget_layout(
     g: Graph, stubs: Sequence[int]
-) -> tuple[list[Edge], list[int], list[int], list[tuple[int, ...]]]:
-    """The host edges in lex order, the copy counts, each copy's owner, and
-    each edge node's row.
+) -> tuple[list[Edge], list[tuple[int, ...]], list[int], list[tuple[int, ...]]]:
+    """The host edges in lex order, each vertex's run of copy indices, each
+    copy's owner, and each edge node's row.
 
     Copies are numbered 0.. grouped by owner in ascending (vertex, index)
     order, and the row of host edge u < v lists u's copy indices, then
@@ -128,7 +128,7 @@ def _gadget_layout(
     copy_owner = [v for v, c in enumerate(copy_counts) for _ in range(c)]
     host_edges = g.edges()
     rows = [copies[u] + copies[v] for u, v in host_edges]
-    return host_edges, copy_counts, copy_owner, rows
+    return host_edges, copies, copy_owner, rows
 
 
 def balanced_orientation_via_gadget(g: Graph) -> Orientation:
@@ -139,7 +139,8 @@ def balanced_orientation_via_gadget(g: Graph) -> Orientation:
     adjacency, so the matching is that of Hopcroft-Karp on the built
     gadget graph with the edge nodes as its left side, edge for edge.
     """
-    host_edges, _, copy_owner, rows = _gadget_layout(g, (0,) * g.vertex_count)
+    host_edges, copies, copy_owner, rows = _gadget_layout(g, (0,) * g.vertex_count)
+    del copies  # not needed here: free the runs before the matching
     mate = _hopcroft_karp(rows, len(copy_owner))
     if -1 in mate:
         # Both sides have one node per host edge, so an unmatched edge node
@@ -210,7 +211,9 @@ def eulerian_orientation(g: Graph) -> Orientation:
 
 @dataclass(frozen=True)
 class HallSide:
-    side: str  # "edge" or "vertex"
+    """One side of the audit; its name is the :class:`GadgetHallReport`
+    field that holds it, ``edge_side`` or ``vertex_side``."""
+
     checked: int
     min_ratio: Fraction | None
     witness: tuple[int, ...]
@@ -281,7 +284,7 @@ def check_gadget_hall_expansion(
     and 17/16 at 8-10.
     """
     # The layout first: an odd degree is named before a bad bound.
-    _, copy_counts, copy_owner, rows = _gadget_layout(w.graph, w.external_stubs)
+    _, copies, copy_owner, rows = _gadget_layout(w.graph, w.external_stubs)
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise InputError("epsilon must be nonnegative")
@@ -298,14 +301,11 @@ def check_gadget_hall_expansion(
     # Runs of twins, as tuples of ascending node ids: one per edge node,
     # and the copies of each host vertex that has any.
     edge_runs = [(node,) for node in range(m)]
-    copy_runs = []
+    copy_runs = [tuple(m + t for t in run) for run in copies if run]
     credit = [0] * len(masks)
-    start = m
-    for v, count in enumerate(copy_counts):
-        if count:
-            copy_runs.append(tuple(range(start, start + count)))
-            credit[start] = w.external_stubs[v]
-        start += count
+    for v, run in enumerate(copies):
+        if run:
+            credit[m + run[0]] = w.external_stubs[v]
 
     def candidates(runs: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
         for owned in islice(iter_subsets(runs, max_f), 1, None):
@@ -329,13 +329,11 @@ def check_gadget_hall_expansion(
         count = nmask.bit_count()
         return (count, len(fs)), (2 * count + stubs, 2 * len(fs))
 
-    def audit(side: str, runs: list[tuple[int, ...]]) -> HallSide:
+    def audit(runs: list[tuple[int, ...]]) -> HallSide:
         _, [(raw, witness), (credited, witness_credited)] = _min_ratios(
             candidates(runs), ratios, 2
         )
         checked = _subset_count(sum(map(len, runs)), max_f) - 1
-        return HallSide(side, checked, raw, witness, credited, witness_credited)
+        return HallSide(checked, raw, witness, credited, witness_credited)
 
-    edge_side = audit("edge", edge_runs)
-    vertex_side = audit("vertex", copy_runs)
-    return GadgetHallReport(epsilon, max_f, edge_side, vertex_side)
+    return GadgetHallReport(epsilon, max_f, audit(edge_runs), audit(copy_runs))

@@ -45,7 +45,6 @@ from tuttelab import (
     HallSide,
     InputError,
     MatchingState,
-    NetLevels,
     Orientation,
     RunCertificate,
     Schedule,
@@ -105,7 +104,7 @@ def remove_vertices(g: Graph, removed: Iterable[int]) -> Subgraph:
     adjacency = tuple(
         tuple(new_id[u] for u in g.adjacency[v] if u not in removed) for v in keep
     )
-    return Subgraph(Window.closed(Graph(len(keep), adjacency)), tuple(keep))
+    return Subgraph(Window.closed(Graph(adjacency)), tuple(keep))
 
 
 def remove_window_vertices(w: Window, removed: Iterable[int]) -> Subgraph:
@@ -382,9 +381,11 @@ def complete_matching(w: Window, run: RunCertificate) -> MatchingState:
     return MatchingState.from_pairs(pairs, w.graph)
 
 
-def net_separation_ok(w: Window, nets: NetLevels, schedule: Schedule) -> bool:
+def net_separation_ok(
+    w: Window, nets: tuple[tuple[int, ...], ...], schedule: Schedule
+) -> bool:
     """Exhaustive recheck that each A_n is f(n)-separated."""
-    for f_n, level in zip(schedule.levels, nets.levels):
+    for f_n, level in zip(schedule.levels, nets):
         for i, a in enumerate(level):
             for b in level[i + 1:]:
                 d = distance(w.graph, a, b)
@@ -698,7 +699,7 @@ def classify_components(
     ``hull_report``), in O(n + m) memory; enumerations use :func:`finite_cuts`.
     """
     xset = w.graph.vertex_set(x)
-    frontier = w.frontier
+    interior = w.interior
     finite: list[list[int]] = []
     infinite: list[list[int]] = []
     seen = [False] * w.graph.vertex_count
@@ -710,7 +711,7 @@ def classify_components(
         seen[start] = True
         block = [start]
         queue = deque([start])
-        touches_frontier = start in frontier
+        touches_frontier = start not in interior
         while queue:
             a = queue.popleft()
             for b in w.graph.adjacency[a]:
@@ -718,7 +719,7 @@ def classify_components(
                     seen[b] = True
                     block.append(b)
                     queue.append(b)
-                    if b in frontier:
+                    if b not in interior:
                         touches_frontier = True
         block.sort()
         (infinite if touches_frontier else finite).append(block)
@@ -842,7 +843,7 @@ def brute_hall(gadget: GadgetGraph, epsilon, max_f: int) -> GadgetHallReport:
     """
     adjacency = gadget.graph.adjacency
 
-    def side(name: str, nodes: range) -> HallSide:
+    def side(nodes: range) -> HallSide:
         checked = 0
         best: list = [(None, ()), (None, ())]
         for fs in iter_subsets(nodes, max_f):
@@ -857,11 +858,11 @@ def brute_hall(gadget: GadgetGraph, epsilon, max_f: int) -> GadgetHallReport:
                 if best[pos][0] is None or value < best[pos][0]:
                     best[pos] = (value, fs)
         (raw, witness), (credited, witness_credited) = best
-        return HallSide(name, checked, raw, witness, credited, witness_credited)
+        return HallSide(checked, raw, witness, credited, witness_credited)
 
     return GadgetHallReport(
         Fraction(epsilon),
         max_f,
-        side("edge", gadget.edge_nodes),
-        side("vertex", gadget.copy_nodes),
+        side(gadget.edge_nodes),
+        side(gadget.copy_nodes),
     )

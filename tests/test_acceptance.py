@@ -146,7 +146,7 @@ def _run_and_certify(w, epsilon, levels, cert_max_x=4):
     run = run_layered_matching(w, schedule, nets, cert_max_x)
     assert not run.aborted
     failures = sum(0 if cert.passed else 1 for cert in run.levels)
-    for level in nets.levels:
+    for level in nets:
         assert set(level) <= run.matching.covered
     full = complete_matching(w, run)
     assert full.covers(w.graph)

@@ -27,7 +27,6 @@ from tuttelab import (
     Graph,
     GroupSpec,
     InputError,
-    NetLevels,
     Window,
     build_schedule,
     cayley_ball,
@@ -91,19 +90,24 @@ class TestEdge:
 class TestGraphValidation:
     def test_asymmetric_adjacency_rejected(self):
         with pytest.raises(InputError):
-            Graph(2, ((1,), ()))
+            Graph(((1,), ()))
 
     def test_self_listing_rejected(self):
         with pytest.raises(InputError):
-            Graph(1, ((0,),))
+            Graph(((0,),))
 
     def test_duplicate_neighbor_rejected(self):
         with pytest.raises(InputError):
-            Graph(2, ((1, 1), (0, 0)))
+            Graph(((1, 1), (0, 0)))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InputError):
             Graph.from_edges(2, [(0, 2)])
+
+    def test_negative_vertex_count_rejected(self):
+        # range(-1) is empty: unchecked, this would build the empty graph.
+        with pytest.raises(InputError, match="vertex_count must be nonnegative"):
+            Graph.from_edges(-1, ())
 
     def test_edges_lex_order(self):
         g = fixture("cycle(4)")
@@ -171,7 +175,7 @@ VERTEX_ID_ENTRY_POINTS = {
     # vertex 0 and the run would pass, and 6 would be recorded as a failed
     # vertex, as if Tutte's condition had failed.
     "layered_nets": lambda v: run_layered_matching(
-        Window.closed(CYCLE6), build_schedule(Fraction(1, 8), 1), NetLevels(((v,),)), 2
+        Window.closed(CYCLE6), build_schedule(Fraction(1, 8), 1), ((v,),), 2
     ),
 }
 
@@ -404,6 +408,11 @@ class TestPieces:
     def test_each_piece_once(self, w, data):
         max_x = data.draw(st.integers(0, w.graph.vertex_count))
         g = w.graph
+        # The count and the frontier are derived, from the rows and the
+        # interior.
+        assert Graph(g.adjacency).vertex_count == len(g.adjacency)
+        assert vertices_of(w.frontier_mask) == tuple(
+            v for v in range(len(g.adjacency)) if v not in w.interior)
         got = list(_pieces(g.neighbor_masks, w.frontier_mask, max_x, g.full_mask))
         assert len(got) == len(set(got))
         assert set(got) == naive_pieces(w, max_x)

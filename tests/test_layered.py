@@ -24,7 +24,6 @@ from tuttelab import (
     Edge,
     Graph,
     InputError,
-    NetLevels,
     Schedule,
     Window,
     build_nets,
@@ -93,7 +92,7 @@ def hand_schedule(epsilon, fs):
 
 def residual(w, nets):
     """The interior vertices that no net level holds, ascending."""
-    used = {v for level in nets.levels for v in level}
+    used = {v for level in nets for v in level}
     return tuple(sorted(w.interior - used))
 
 
@@ -101,27 +100,27 @@ class TestNets:
     def test_path10_single_level(self):
         w = Window.closed(fixture("path(10)"))
         nets = build_nets(w, hand_schedule(3, (2,)))
-        assert nets.levels == ((0, 3, 6, 9),)
+        assert nets == ((0, 3, 6, 9),)
         assert residual(w, nets) == (1, 2, 4, 5, 7, 8)
 
     def test_single_vertex(self):
         w = Window.closed(Graph.from_edges(1, ()))
         nets = build_nets(w, build_schedule(Fraction(1, 2), 2))
-        assert nets.levels == ((0,), ())
+        assert nets == ((0,), ())
         assert residual(w, nets) == ()
 
     def test_empty_interior(self):
         g = fixture("path(3)")
         w = Window(g, frozenset(), (1, 1, 1))
         nets = build_nets(w, build_schedule(Fraction(1, 2), 2))
-        assert nets.levels == ((), ())
+        assert nets == ((), ())
         assert residual(w, nets) == ()
 
     def test_levels_partition_interior(self):
         w = Window.closed(fixture("random_regular(12,3,3)"))
         sched = hand_schedule(5, (2, 3, 4))
         nets = build_nets(w, sched)
-        everything = [v for level in nets.levels for v in level]
+        everything = [v for level in nets for v in level]
         assert set(everything) <= w.interior
         assert len(set(everything)) == len(everything)
 
@@ -135,7 +134,7 @@ class TestNets:
         w = Window.closed(fixture("cycle(12)"))
         sched = hand_schedule(3, (2,))
         nets = build_nets(w, sched)
-        level = set(nets.levels[0])
+        level = set(nets[0])
         for v in residual(w, nets):
             near = any(
                 (d := distance(w.graph, v, u)) is not None and d <= 2
@@ -181,7 +180,7 @@ class TestRunLayeredMatching:
     def test_cycle4_with_explicit_nets(self):
         w = Window.closed(fixture("cycle(4)"))
         sched = build_schedule(Fraction(1, 2), 1)
-        nets = NetLevels(((0, 2),))
+        nets = ((0, 2),)
         run = run_layered_matching(w, sched, nets, 4)
         assert run.matching.edges == (Edge(0, 1), Edge(2, 3))
         assert run.coverage == 1
@@ -191,14 +190,14 @@ class TestRunLayeredMatching:
     def test_single_edge_path(self):
         w = Window.closed(fixture("path(2)"))
         sched = build_schedule(Fraction(1, 2), 1)
-        run = run_layered_matching(w, sched, NetLevels(((0,),)), 2)
+        run = run_layered_matching(w, sched, ((0,),), 2)
         assert run.matching.edges == (Edge(0, 1),)
 
     def test_star3_rejected(self):
         w = Window.closed(fixture("star(3)"))
         sched = build_schedule(Fraction(1, 2), 1)
         with pytest.raises(InputError):
-            run_layered_matching(w, sched, NetLevels(((0,),)), 2)
+            run_layered_matching(w, sched, ((0,),), 2)
 
     def test_open_window_without_matching_aborts_with_partial_certificate(self):
         # The raw radius-2 ball of the 4-regular tree has no perfect
@@ -227,7 +226,7 @@ class TestRunLayeredMatching:
             nets = build_nets(w, sched)
             run = run_layered_matching(w, sched, nets, 4)
             assert run.passed
-            for level in nets.levels:
+            for level in nets:
                 assert set(level) <= run.matching.covered
             full = complete_matching(w, run)
             assert full.covers(w.graph)
@@ -241,10 +240,12 @@ class TestRunLayeredMatching:
         assert a == b
 
     def test_mismatched_nets_rejected(self):
+        # Unchecked, zip would drop the extra levels of either side.
         w = Window.closed(fixture("cycle(4)"))
         sched = build_schedule(Fraction(1, 2), 2)
-        with pytest.raises(InputError):
-            run_layered_matching(w, sched, NetLevels(((0,),)), 2)
+        for nets in ((0,),), ((0,), (), ()):
+            with pytest.raises(InputError, match="disagree on the number of levels"):
+                run_layered_matching(w, sched, nets, 2)
 
     def test_remaining_graph_stays_matchable_after_each_level(self):
         w = Window.closed(fixture("cycle(10)"))
@@ -278,7 +279,7 @@ def brute_least_allowed(g, covered, x):
 def replay(w, nets, run):
     """Check every choice of the run against brute force; True if it aborted."""
     covered: set[int] = set()
-    for net, cert in zip(nets.levels, run.levels):
+    for net, cert in zip(nets, run.levels):
         chosen = iter(cert.chosen_edges)
         for x in sorted(net):
             if x in covered:
@@ -293,7 +294,7 @@ def replay(w, nets, run):
             covered.update(expected)
         assert next(chosen, None) is None
         assert not cert.failed_vertices
-    assert len(run.levels) == len(nets.levels)
+    assert len(run.levels) == len(nets)
     assert not run.aborted
     assert run.matching.covered == covered
     return False
@@ -377,9 +378,9 @@ class TestLevelCertificate:
         schedule = hand_schedule(1, (8, 16, 32)) if small_eps else self.SCHEDULE
         run = run_layered_matching(w, schedule, build_nets(w, schedule), 1)
         covered: set[int] = set()
-        for cert in run.levels:
-            assert cert.tutte.k == schedule.levels[cert.level]
-            assert cert.tutte.epsilon == schedule.eps[cert.level]
+        for level, cert in enumerate(run.levels):
+            assert cert.tutte.k == schedule.levels[level]
+            assert cert.tutte.epsilon == schedule.eps[level]
             covered.update(v for e in cert.chosen_edges for v in e)
             level_window = remove_window_vertices(w, covered).window
             expected = len(hull_report(level_window, ()).odd_components)

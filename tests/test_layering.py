@@ -8,8 +8,10 @@ public surface must be used outside the tests: every function the
 package exports is read, so an oracle only tests call lives in
 ``tests/helpers.py``, not in the package; every option, a parameter with
 a default, is passed by some call and left out by another, since with one
-value in use it would be a constant; and every field, property and method
-of an exported class is read, so no fact is kept that nothing asks for.
+value in use it would be a constant; every field, property and method
+of an exported class is read, so no fact is kept that nothing asks for;
+and no exported record is a bare one-field wrapper, whose one value its
+holder can keep itself.
 """
 
 import ast
@@ -315,6 +317,46 @@ def test_every_public_attribute_is_read_outside_the_tests():
         + ", ".join(sorted(flagged)))
 
 
+def bare_records(source: str) -> set[str]:
+    """Classes in source that are a bare one-field record: a dataclass or a
+    NamedTuple whose body holds one field and no function, so no
+    ``__post_init__``, property or method."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        kinds = {called_name(d.func if isinstance(d, ast.Call) else d)
+                 for d in node.decorator_list}
+        kinds.update(map(called_name, node.bases))
+        fields = sum(isinstance(s, ast.AnnAssign) for s in node.body)
+        functions = any(
+            isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef)) for s in node.body)
+        if kinds & {"dataclass", "NamedTuple"} and fields == 1 and not functions:
+            found.add(node.name)
+    return found
+
+
+def test_no_exported_record_is_a_bare_field():
+    flagged = exported() & set().union(*(
+        bare_records((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for module in MODULES))
+    assert not flagged, "exported one-field records: " + ", ".join(sorted(flagged))
+
+
+def test_record_reader():
+    source = (
+        "@dataclass(frozen=True)\nclass Box:\n    value: int\n"
+        "@dataclasses.dataclass\nclass Checked:\n    value: int\n"
+        "    def __post_init__(self):\n        pass\n"
+        "@dataclass\nclass Derived:\n    value: int\n"
+        "    @property\n    def double(self):\n        return 2 * self.value\n"
+        "class Pair(typing.NamedTuple):\n    value: int\n"
+        "class Two(NamedTuple):\n    a: int\n    b: int\n"
+        "class Plain:\n    value: int\n"
+    )
+    assert bare_records(source) == {"Box", "Pair"}
+
+
 def test_reference_reader():
     source = (
         "import tuttelab as tl\n"
@@ -372,7 +414,7 @@ def test_attribute_reader():
     source = (
         "m = tl.max_matching(g)\n"
         "print(m.covered, run.levels[0].odd_component_count)\n"
-        "NetLevels(levels=nets)\n"
+        "Schedule(levels=fs)\n"
         "residual = 1  # x.empty\n"
         "w.graph = None\n"
         "\"\"\"s.size\"\"\"\n"
@@ -380,6 +422,6 @@ def test_attribute_reader():
     assert attribute_reads(source) == {
         "max_matching", "covered", "levels", "odd_component_count"}
     attributes = [("Graph", "empty"), ("MatchingState", "covered"),
-                  ("NetLevels", "levels"), ("NetLevels", "residual"), ("Window", "graph")]
+                  ("Schedule", "levels"), ("Schedule", "residual"), ("Window", "graph")]
     assert unread_attributes(attributes, [source]) == {
-        "Graph.empty", "NetLevels.residual", "Window.graph"}
+        "Graph.empty", "Schedule.residual", "Window.graph"}
