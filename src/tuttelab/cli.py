@@ -20,6 +20,7 @@ is still validated.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -246,7 +247,9 @@ def _cmd_gadget_audit(args: argparse.Namespace) -> tuple[str, bool]:
     return _lines(out), report.passed
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and shared: a parse leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="tuttelab",
         description="Matchings, quantitative Tutte conditions, and balanced "

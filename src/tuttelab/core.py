@@ -12,18 +12,19 @@ genuinely finite and which would continue past the cut.
 
 Each graph question is answered here once: vertex ids by
 :meth:`Graph.vertex_set`, and every enumeration by the bitmask kernels
-:func:`finite_cuts` (over X), :func:`_piece_cuts` (the X that can cut off
-a finite piece, found by :func:`_pieces`), :func:`_connected_sets`
-(connected F) and :func:`_min_ratios` (the least ratio over F).  Both X
-walks hand the windows with a frontier, and the closed ones where every X
-misses a component of G, to one seeded walk, :func:`_open_cuts`: the only
-code that reuses G's components.  It searches only from N(X), joins the
-finite components of G that X misses, and sorts once.  These kernels
-are the package's only component search; a single X, such as the empty
-one a layered certificate asks about, is the first item of
-:func:`finite_cuts` with ``max_x = 0``.  The X walks read g under a live
-mask: the subgraph induced on it, named by g's ids, so a caller that
-deletes vertices asks its questions of one host graph, never of a copy.
+:func:`finite_cuts` (over X), :func:`_piece_cuts` (the X that can cut off a
+finite piece, found by :func:`_pieces`), :func:`_connected_sets` (connected
+F) and :func:`_min_ratios` (the least ratio over scored F, each F built
+only if it can be the witness).  Both X walks hand the windows with a
+frontier, and the closed ones where every X misses a component of G, to one
+seeded walk, :func:`_open_cuts`: the only code that reuses G's components.
+It searches only from N(X), joins the finite components of G that X misses,
+and sorts once.  These kernels are the package's only component search; a
+single X, such as the empty one a layered certificate asks about, is the
+first item of :func:`finite_cuts` with ``max_x = 0``.  The X walks read g
+under a live mask: the subgraph induced on it, named by g's ids, so a
+caller that deletes vertices asks its questions of one host graph, never of
+a copy.
 """
 
 from __future__ import annotations
@@ -114,12 +115,8 @@ class Graph:
 
     def edges(self) -> list[Edge]:
         """All edges in lexicographic (least-edge-first) order."""
-        out = []
-        for v, nbrs in enumerate(self.adjacency):
-            for u in nbrs:
-                if u > v:
-                    out.append(Edge(v, u))
-        return out
+        make, adj = tuple.__new__, self.adjacency  # not Edge's Python-level __new__
+        return [make(Edge, (v, u)) for v, nbrs in enumerate(adj) for u in nbrs if u > v]
 
     def vertex_set(self, vertices: Iterable[int]) -> set[int]:
         """The ids as a set; InputError names the least one out of range."""
@@ -555,24 +552,30 @@ def _connected_sets(masks: Sequence[int], pool: int, max_f: int) -> Iterator[int
 
 
 def _min_ratios(
-    sets: Iterable[tuple[int, ...]], ratios: Callable, count: int
+    items: Iterable[tuple], witness: Callable, count: int
 ) -> tuple[int, list[tuple[Fraction | None, tuple[int, ...]]]]:
-    """Number of sets, and per ratio position the least value with its witness.
+    """Number of items, and per ratio position the least value with its witness.
 
-    ``ratios(F)`` gives ``count`` integer pairs (p, q), q > 0, read as p/q.
-    Values are compared by cross-multiplication, no Fraction per set, and
-    ties go to the F least by (size, lex), so the witness is the same
-    whatever order ``sets`` comes in; (None, ()) when there is no set.
+    An item ``(key, p0, q0, p1, q1, ...)`` scores F = ``witness(key)`` by
+    ``count`` pairs p/q, q > 0, compared by cross-multiplication; F is built
+    only for an item that ties or beats a running minimum.  Ties go to the F
+    least by (size, lex), so the witness is the same whatever order ``items``
+    come in; (None, ()) when there is no item.
     """
     best = [(1, 0, ())] * count  # 1/0 stands for +infinity
+    slots = [(i, 2 * i + 1, 2 * i + 2) for i in range(count)]
     checked = 0
-    for fs in sets:
+    for item in items:
         checked += 1
-        for i, (p, q) in enumerate(ratios(fs)):
+        fs = ()
+        for i, a, b in slots:
+            p, q = item[a], item[b]
             bp, bq, bfs = best[i]
             lhs, rhs = p * bq, bp * q
-            if lhs < rhs or lhs == rhs and (len(fs), fs) < (len(bfs), bfs):
-                best[i] = (p, q, fs)
+            if lhs <= rhs:
+                fs = fs or witness(item[0])
+                if lhs < rhs or (len(fs), fs) < (len(bfs), bfs):
+                    best[i] = (p, q, fs)
     return checked, [(Fraction(p, q) if q else None, fs) for p, q, fs in best]
 
 

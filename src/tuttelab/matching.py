@@ -237,7 +237,8 @@ def _hopcroft_karp(rows: Sequence[Sequence[int]], right_count: int) -> list[int]
     index or -1.  Phases alternate a breadth-first layering from the free
     left vertices with augmenting-path searches from each free left vertex
     in ascending order (Hopcroft & Karp, 1973), so equal rows give equal
-    matchings.
+    matchings.  Phase one, with every vertex free, matches each left vertex
+    in turn to its first free right neighbour: a greedy pass.
     """
     inf = len(rows) + 1
     mate_l = [-1] * len(rows)
@@ -293,6 +294,11 @@ def _hopcroft_karp(rows: Sequence[Sequence[int]], right_count: int) -> list[int]
             return True
         return False
 
+    for i, row in enumerate(rows):
+        for j in row:
+            if mate_r[j] == -1:
+                mate_l[i], mate_r[j] = j, i
+                break
     while bfs():
         for i in range(len(rows)):
             if mate_l[i] == -1:

@@ -23,7 +23,8 @@ of one host vertex are twins (the same gadget neighbors, the same stub
 credit), so an F's ratios depend only on its owner set and its size: the
 audit scores, per owner set, the largest F it allows (and, for an owner
 set with no gadget neighbor, the smallest), since no other F can be the
-least (size, lex) minimiser.  Its ``checked`` counts every F covered.
+least (size, lex) minimiser; it builds an F only for an owner set that
+ties or beats a running minimum.  Its ``checked`` counts every F covered.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .core import (
     _min_ratios,
     _subset_count,
     iter_subsets,
+    mask_of,
 )
 from .matching import _hopcroft_karp
 
@@ -275,65 +277,71 @@ def check_gadget_hall_expansion(
     the run-firsts F when O has no gadget neighbor.  No other F can be
     the least (size, lex) minimiser: O fixes both numerators, so where
     one is positive its ratio falls strictly as |F| grows, and where it
-    is zero every size ties and the least size wins.  ``checked`` still
-    counts every F covered, the nonempty subsets of the side with at
-    most max_f nodes.
+    is zero every size ties and the least size wins.  An owner set, a
+    tuple of run indices, is scored from its runs' neighbor masks, credits
+    and lengths, and F is built only when it can be the witness.
+    ``checked`` still counts every F covered, the nonempty subsets of the
+    side with at most max_f nodes.
 
     The credited verdict holds only up to max_f: on the free(2) radius-2
     ball the vertex-side credited minimum is 5/4 at max_f 4-5, 7/6 at 6-7
     and 17/16 at 8-10.
     """
     # The layout first: an odd degree is named before a bad bound.
-    _, copies, copy_owner, rows = _gadget_layout(w.graph, w.external_stubs)
+    host_edges, copies, _, rows = _gadget_layout(w.graph, w.external_stubs)
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise InputError("epsilon must be nonnegative")
     if max_f < 1:
         raise InputError("max_f must be positive")
-    # The gadget's neighbor masks, read off the rows: edge node i is joined
-    # to copy node m + t for each t in its row.
+    # Runs of twins, as (node ids ascending, gadget neighbors as a mask, stub
+    # credit); only the mask's size is read.  One run per edge node, whose
+    # neighbors are the copies in its row, and one per host vertex that has
+    # copies, whose neighbors are the nodes of its host edges.
     m = len(rows)
-    masks = [0] * (m + len(copy_owner))
-    for i, row in enumerate(rows):
-        for t in row:
-            masks[i] |= 1 << (m + t)
-            masks[m + t] |= 1 << i
-    # Runs of twins, as tuples of ascending node ids: one per edge node,
-    # and the copies of each host vertex that has any.
-    edge_runs = [(node,) for node in range(m)]
-    copy_runs = [tuple(m + t for t in run) for run in copies if run]
-    credit = [0] * len(masks)
-    for v, run in enumerate(copies):
-        if run:
-            credit[m + run[0]] = w.external_stubs[v]
+    vertex_nbrs = [0] * len(copies)
+    for i, (u, v) in enumerate(host_edges):
+        vertex_nbrs[u] |= 1 << i
+        vertex_nbrs[v] |= 1 << i
+    edge_runs = [((i,), mask_of(row), 0) for i, row in enumerate(rows)]
+    copy_runs = [
+        (tuple(m + t for t in run), vertex_nbrs[v], w.external_stubs[v])
+        for v, run in enumerate(copies)
+        if run
+    ]
 
-    def candidates(runs: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-        for owned in islice(iter_subsets(runs, max_f), 1, None):
-            room = max_f - len(owned)
+    def audit(runs: list[tuple[tuple[int, ...], int, int]]) -> HallSide:
+        scores = [(nbrs, credit, len(nodes)) for nodes, nbrs, credit in runs]
+
+        def scored() -> Iterator[tuple]:
+            for owned in islice(iter_subsets(range(len(runs)), max_f), 1, None):
+                nmask = stubs = total = 0
+                for r in owned:
+                    nbrs, credit, length = scores[r]
+                    nmask |= nbrs
+                    stubs += credit
+                    total += length
+                count = nmask.bit_count()
+                size = total if total < max_f else max_f
+                yield (owned, size), count, size, 2 * count + stubs, 2 * size
+                if not nmask and size > len(owned):
+                    yield (owned, len(owned)), 0, len(owned), stubs, 2 * len(owned)
+
+        def lex_least(key: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
+            # Each owner's first node, then the least remaining ones.
+            owned, size = key
+            room = size - len(owned)
             fs: tuple[int, ...] = ()
-            for run in owned:
-                take = min(room, len(run) - 1)
-                fs += run[: take + 1]
+            for nodes, _, _ in map(runs.__getitem__, owned):
+                take = min(room, len(nodes) - 1)
+                fs += nodes[: take + 1]
                 room -= take
-            yield fs
-            if len(fs) > len(owned) and not any(masks[run[0]] for run in owned):
-                yield tuple(run[0] for run in owned)
+            return fs
 
-    # Every F scored holds the first copy of each owner it meets, so an
-    # owner's stubs are credited through its first copy alone.
-    def ratios(fs: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, int]]:
-        nmask = stubs = 0
-        for node in fs:
-            nmask |= masks[node]
-            stubs += credit[node]
-        count = nmask.bit_count()
-        return (count, len(fs)), (2 * count + stubs, 2 * len(fs))
-
-    def audit(runs: list[tuple[int, ...]]) -> HallSide:
         _, [(raw, witness), (credited, witness_credited)] = _min_ratios(
-            candidates(runs), ratios, 2
+            scored(), lex_least, 2
         )
-        checked = _subset_count(sum(map(len, runs)), max_f) - 1
+        checked = _subset_count(sum(len(nodes) for nodes, _, _ in runs), max_f) - 1
         return HallSide(checked, raw, witness, credited, witness_credited)
 
     return GadgetHallReport(epsilon, max_f, audit(edge_runs), audit(copy_runs))

@@ -56,7 +56,6 @@ from .core import (
     _subset_count,
     finite_cuts,
     mask_is_connected,
-    mask_of,
     vertices_of,
 )
 from .matching import has_perfect_matching
@@ -211,10 +210,11 @@ def expansion_constant(w: Window, max_f: int) -> ExpansionReport:
         raise InputError("window has no vertices")
     masks = w.graph.neighbor_masks
     stubs = w.external_stubs
-    sets = map(vertices_of, _connected_sets(masks, w.graph.full_mask, max_f))
-    checked, [(delta, witness)] = _min_ratios(
-        sets, lambda fs: ((_mask_boundary(masks, stubs, mask_of(fs)), len(fs)),), 1
+    items = (
+        (f, _mask_boundary(masks, stubs, f), f.bit_count())
+        for f in _connected_sets(masks, w.graph.full_mask, max_f)
     )
+    checked, [(delta, witness)] = _min_ratios(items, vertices_of, 1)
     return ExpansionReport(
         delta_lower=delta,
         delta_witness=witness,

@@ -20,7 +20,8 @@ here too: components and hulls of G - X for one X, graph distance and the nets' 
 recheck, small vertex cuts between two sets (the piece search prunes by
 them), the extension of a layered run's matching to a perfect one, the
 bipartite gadget built as a graph from its definition (the package only
-lays out its rows), Hopcroft-Karp on a graph with a given side, the
+lays out its rows), Hopcroft-Karp on a graph with a given side and
+Hopcroft-Karp with no greedy first phase, the
 gadget route's reading of a matching as an orientation (and of a dict of
 heads), the Euler route read off a traced circuit, the edge-list parser
 read line by line, and the least extendable edge at one vertex.
@@ -34,7 +35,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
@@ -289,6 +290,73 @@ def bipartite_max_matching(g: Graph, side: Iterable[int]) -> MatchingState:
         (lefts[i], rights[mate_l[i]]) for i in range(len(lefts)) if mate_l[i] != -1
     ]
     return MatchingState.from_pairs(pairs, g)
+
+
+def reference_hopcroft_karp(rows: Sequence[Sequence[int]], right_count: int) -> list[int]:
+    """Hopcroft-Karp with every phase, the first included, run as
+    breadth-first layering and augmenting-path searches: the oracle the
+    package's kernel, whose first phase is a greedy pass, must match mate
+    for mate."""
+    inf = len(rows) + 1
+    mate_l = [-1] * len(rows)
+    mate_r = [-1] * right_count
+    dist = [0] * len(rows)
+
+    def bfs() -> bool:
+        queue = deque()
+        for i in range(len(rows)):
+            if mate_l[i] == -1:
+                dist[i] = 0
+                queue.append(i)
+            else:
+                dist[i] = inf
+        reachable_free = inf
+        while queue:
+            i = queue.popleft()
+            if dist[i] >= reachable_free:
+                continue
+            for j in rows[i]:
+                k = mate_r[j]
+                if k == -1:
+                    if reachable_free > dist[i] + 1:
+                        reachable_free = dist[i] + 1
+                elif dist[k] == inf:
+                    dist[k] = dist[i] + 1
+                    queue.append(k)
+        return reachable_free != inf
+
+    def dfs(root: int) -> bool:
+        # Augmenting-path search along the BFS layers on an explicit stack of
+        # (left vertex, neighbour iterator), so path length is not bounded by
+        # the recursion limit; a dead-end vertex is retired (dist = inf).
+        stack = [(root, iter(rows[root]))]
+        while stack:
+            i, scan = stack[-1]
+            step = dist[i] + 1
+            for j in scan:
+                k = mate_r[j]
+                if k == -1 or dist[k] == step:
+                    break
+            else:
+                dist[i] = inf
+                stack.pop()
+                continue
+            if k != -1:
+                stack.append((k, iter(rows[k])))
+                continue
+            # j is free: flip the path, each vertex passing its partner down.
+            for i, _ in reversed(stack):
+                j, mate_l[i] = mate_l[i], j
+                mate_r[mate_l[i]] = i
+            return True
+        return False
+
+    while bfs():
+        for i in range(len(rows)):
+            if mate_l[i] == -1:
+                dfs(i)
+
+    return mate_l
 
 
 def orientation_from_dict(direction: dict[Edge, int]) -> Orientation:

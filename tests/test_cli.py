@@ -15,7 +15,7 @@ from tuttelab import (
     orientation,
     parse_window_text,
 )
-from tuttelab.cli import main
+from tuttelab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -267,6 +267,32 @@ class TestDeterminism:
         target = tmp_path / "out.txt"
         run_cli(capsys, "match", cycle4_file, "-o", str(target))
         assert target.read_text() == out
+
+
+    def test_shared_parser_writes_what_a_fresh_one_does(
+        self, capsys, tmp_path, cycle4_file
+    ):
+        # main builds its parser once per process, so no call may leave
+        # state in it: not the appended --perm values (the action's default
+        # is a list), nor an earlier call's --output.
+        target = str(tmp_path / "out.txt")
+        calls = [
+            ("generate", "--points", "4", "--perm", "0 1,2 3", "--perm", "0 2,1 3"),
+            ("generate", "--points", "4", "--perm", "0 1"),
+            ("generate", "--fixture", "cycle(4)"),
+            ("match", cycle4_file, "--output", target),
+            ("match", cycle4_file),
+        ]
+        parser = build_parser()
+        shared = [run_cli(capsys, *argv) for argv in calls]
+        assert build_parser() is parser
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0] * len(calls)
+        assert shared[3][1] == "" and shared[4][1] != ""
 
 
 class TestExitCodes:

@@ -513,20 +513,45 @@ class TestMinRatios:
         # Boundary ratios on cycle(8) tie across every arc of a size, and
         # the second ratio ties across the size classes.
         masks = fixture("cycle(8)").neighbor_masks
-        sets = [
-            fs for size in range(1, 6) for fs in itertools.combinations(range(8), size)
+        items = [
+            (mask_of(fs), _mask_boundary(masks, (0,) * 8, mask_of(fs)), len(fs),
+             sum(fs) % 3, 1)
+            for size in range(1, 6)
+            for fs in itertools.combinations(range(8), size)
         ]
-
-        def ratios(fs):
-            return (_mask_boundary(masks, (0,) * 8, mask_of(fs)), len(fs)), (sum(fs) % 3, 1)
-
-        want = _min_ratios(sets, ratios, 2)
+        want = _min_ratios(items, vertices_of, 2)
         assert want[1][0][1] == (0, 1, 2, 3, 4)
         assert want[1][1][1] == (0,)
         rng = random.Random(4)
         for _ in range(5):
-            rng.shuffle(sets)
-            assert _min_ratios(sets, ratios, 2) == want
+            rng.shuffle(items)
+            assert _min_ratios(items, vertices_of, 2) == want
+
+    def test_witness_built_only_for_a_tie_or_a_new_minimum(self):
+        # Keys name their items; each is scored (p0, q0, p1, q1).  Items 1
+        # and 4 lose on both positions, item 2 ties position 0 and item 3
+        # beats position 1, so the witness is built for items 0, 2 and 3,
+        # once each.
+        items = [
+            (0, 1, 2, 3, 1),
+            (1, 2, 2, 4, 1),
+            (2, 2, 4, 5, 1),
+            (3, 3, 4, 1, 1),
+            (4, 1, 1, 2, 1),
+        ]
+        built = []
+
+        def witness(key):
+            built.append(key)
+            return (9 - key,)
+
+        checked, best = _min_ratios(items, witness, 2)
+        assert built == [0, 2, 3]
+        assert checked == 5
+        assert best == [(Fraction(1, 2), (7,)), (Fraction(1), (6,))]
+
+    def test_no_items(self):
+        assert _min_ratios([], vertices_of, 2) == (0, [(None, ())] * 2)
 
 
 class TestWindowValidation:

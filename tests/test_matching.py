@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     bipartite_max_matching,
@@ -10,6 +10,7 @@ from helpers import (
     has_augmenting_path,
     random_graph,
     random_regular_graph,
+    reference_hopcroft_karp,
     reference_max_matching,
     remove_vertices,
 )
@@ -25,7 +26,8 @@ from tuttelab import (
     tutte_berge_deficiency,
 )
 from tuttelab.core import mask_of
-from tuttelab.matching import _mates
+from tuttelab.matching import _hopcroft_karp, _mates
+from tuttelab.orientation import _gadget_layout
 
 
 @st.composite
@@ -346,6 +348,36 @@ class TestBipartite:
             g = Graph.from_edges(left + right, edges)
             hk = bipartite_max_matching(g, range(left))
             assert hk.size == max_matching(g).size
+
+
+@st.composite
+def bipartite_rows(draw, max_side=8):
+    # Left rows of right indices, each in drawn (unsorted) order; rows may
+    # be empty, and either side may be the larger.
+    right = draw(st.integers(min_value=0, max_value=max_side))
+    left = draw(st.integers(min_value=0, max_value=max_side))
+    indices = st.integers(min_value=0, max_value=max(right - 1, 0))
+    row = st.lists(indices, unique=True, max_size=right) if right else st.just([])
+    return [draw(row) for _ in range(left)], right
+
+
+class TestHopcroftKarp:
+    @given(bipartite_rows())
+    @example(([], 0))
+    @example(([[], [], []], 2))
+    @example(([[0], [0], [0, 1], [1, 0]], 2))
+    @example(([[2, 0, 1], [1, 2], [0], [2]], 3))
+    @settings(max_examples=500, deadline=None)
+    def test_greedy_first_phase_gives_the_phased_mates(self, case):
+        rows, right = case
+        assert _hopcroft_karp(rows, right) == reference_hopcroft_karp(rows, right)
+
+    def test_gadget_rows(self):
+        g = fixture("random_regular(300,4,1)")
+        _, _, copy_owner, rows = _gadget_layout(g, (0,) * g.vertex_count)
+        mates = _hopcroft_karp(rows, len(copy_owner))
+        assert mates == reference_hopcroft_karp(rows, len(copy_owner))
+        assert -1 not in mates
 
 
 class TestTutteBerge:
