@@ -94,16 +94,6 @@ def _violation_line(v: verifier.Violation) -> str:
 
 
 def _cmd_generate(args: argparse.Namespace) -> tuple[str, bool]:
-    chosen = [
-        args.fixture is not None,
-        args.free_rank is not None,
-        args.cyclic_orders is not None,
-        args.grid_dim is not None,
-        args.grandparent_depth is not None,
-        bool(args.perm),
-    ]
-    if sum(chosen) != 1:
-        raise InputError("choose exactly one generator family")
     if args.fixture is not None:
         return format_graph(generators.fixture(args.fixture)), True
     if args.grandparent_depth is not None:
@@ -265,16 +255,17 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("generate", _cmd_generate, "emit a graph or window")
-    p.add_argument("--fixture", help="e.g. cycle(8), petersen, random_regular(10,3,1)")
-    p.add_argument("--free-rank", type=int, dest="free_rank")
-    p.add_argument("--cyclic-orders", dest="cyclic_orders",
-                   help="comma-separated cyclic factor orders, e.g. 2,2,2")
-    p.add_argument("--grid-dim", type=int, dest="grid_dim")
+    family = p.add_mutually_exclusive_group(required=True)
+    family.add_argument("--fixture", help="e.g. cycle(8), petersen, random_regular(10,3,1)")
+    family.add_argument("--free-rank", type=int, dest="free_rank")
+    family.add_argument("--cyclic-orders", dest="cyclic_orders",
+                        help="comma-separated cyclic factor orders, e.g. 2,2,2")
+    family.add_argument("--grid-dim", type=int, dest="grid_dim")
+    family.add_argument("--grandparent-depth", type=int, dest="grandparent_depth")
+    family.add_argument("--perm", action="append",
+                        help='generator in cycle notation, e.g. "0 1,2 3" (repeatable)')
     p.add_argument("--radius", type=int)
-    p.add_argument("--grandparent-depth", type=int, dest="grandparent_depth")
     p.add_argument("--points", type=int)
-    p.add_argument("--perm", action="append", default=[],
-                   help='generator in cycle notation, e.g. "0 1,2 3" (repeatable)')
 
     p = command("match", _cmd_match, "maximum matching of the input graph")
     p.add_argument("input")

@@ -112,7 +112,7 @@ def cayley_ball(spec: GroupSpec, radius: int) -> Window:
     syms = spec.symbols()
     ident = spec.identity()
     dist: dict[tuple, int] = {ident: 0}
-    frontier = [ident]
+    frontier = {ident}
     for r in range(1, radius + 1):
         nxt = set()
         for e in frontier:
@@ -122,7 +122,7 @@ def cayley_ball(spec: GroupSpec, radius: int) -> Window:
                     nxt.add(f)
         for f in nxt:
             dist[f] = r
-        frontier = sorted(nxt)
+        frontier = nxt
         if not frontier:
             break
     elements = sorted(dist, key=lambda e: (dist[e], e))
@@ -136,7 +136,7 @@ def cayley_ball(spec: GroupSpec, radius: int) -> Window:
                 edges.add(Edge.of(ids[e], ids[f]))
             else:
                 stubs[ids[e]] += 1
-    graph = Graph.from_edges(len(elements), sorted(edges))
+    graph = Graph.from_edges(len(elements), edges)
     interior = frozenset(ids[e] for e in elements if dist[e] < radius)
     return Window(graph, interior, tuple(stubs))
 
@@ -225,7 +225,7 @@ def schreier_graph(spec: ActionSpec) -> SchreierBuild:
                 duplicates += 1
             else:
                 edges.add(e)
-    graph = Graph.from_edges(spec.point_count, sorted(edges))
+    graph = Graph.from_edges(spec.point_count, edges)
     return SchreierBuild(graph, loops, duplicates)
 
 
@@ -284,7 +284,7 @@ def fixture(spec: str) -> Graph:
             edges.append((i, (i + 1) % 5))
             edges.append((i, i + 5))
             edges.append((5 + i, 5 + (i + 2) % 5))
-        return Graph.from_edges(10, [(min(a, b), max(a, b)) for a, b in edges])
+        return Graph.from_edges(10, edges)
     if name == "random_regular":
         expect(3)
         n, d, seed = args
@@ -319,5 +319,5 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
                 break
             edges.add(e)
         if ok:
-            return Graph.from_edges(n, sorted(edges))
+            return Graph.from_edges(n, edges)
     raise InputError(f"no simple {d}-regular pairing found for n={n}, seed={seed}")

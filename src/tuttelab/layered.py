@@ -67,10 +67,6 @@ class Schedule:
             eps.append(rest)
         return tuple(eps)
 
-    @property
-    def level_count(self) -> int:
-        return len(self.levels)
-
 
 def build_schedule(epsilon: Fraction | int | str, level_count: int) -> Schedule:
     """Choose f(n) = c * 2^n with c the least power of two that works.
@@ -209,7 +205,7 @@ def run_layered_matching(
     outside the window, can be the cause even when a matching covers
     every interior vertex.
     """
-    if len(nets) != schedule.level_count:
+    if len(nets) != len(schedule.levels):
         raise InputError("nets and schedule disagree on the number of levels")
     if cert_max_x < 1:
         raise InputError("cert_max_x must be positive")
@@ -218,7 +214,6 @@ def run_layered_matching(
     if w.is_closed and not has_perfect_matching(g):
         raise InputError("closed window has no perfect matching")
 
-    matched: list[Edge] = []
     live = g.full_mask
     certificates: list[LevelCertificate] = []
 
@@ -232,9 +227,7 @@ def run_layered_matching(
             if u is None:
                 failed.append(x)
                 break
-            e = Edge.of(x, u)
-            chosen.append(e)
-            matched.append(e)
+            chosen.append(Edge.of(x, u))
             live ^= 1 << x | 1 << u
         certificates.append(
             LevelCertificate(
@@ -246,7 +239,9 @@ def run_layered_matching(
         if failed:
             break
 
-    matching = MatchingState.from_pairs(matched, g)
+    matching = MatchingState.from_pairs(
+        (e for c in certificates for e in c.chosen_edges), g
+    )
     interior_count = len(w.interior)
     if interior_count:
         coverage = Fraction(len(matching.covered & w.interior), interior_count)

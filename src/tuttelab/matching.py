@@ -215,7 +215,8 @@ def _mates(g: Graph, live: int | None) -> list[int]:
 
 def has_perfect_matching(g: Graph, live: int | None = None) -> bool:
     """True when some matching covers every vertex (every live one)."""
-    count = _live_mask(g, live).bit_count()
+    live = _live_mask(g, live)
+    count = live.bit_count()
     if count % 2 == 1:
         return False
     return sum(u >= 0 for u in _mates(g, live)) == count

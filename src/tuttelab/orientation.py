@@ -52,12 +52,8 @@ class GadgetMatchingError(RuntimeError):
 
     Mathematically unreachable for valid input (an Euler orientation
     always induces a perfect gadget matching); raised so that a broken
-    invariant surfaces loudly, with the deficient side attached.
+    invariant surfaces loudly; the message alone names what failed.
     """
-
-    def __init__(self, message: str, uncovered: tuple[int, ...]):
-        super().__init__(message)
-        self.uncovered = uncovered
 
 
 @dataclass(frozen=True)
@@ -86,24 +82,25 @@ class BalanceReport:
 
 
 def verify_balanced(g: Graph, o: Orientation, interior: Iterable[int]) -> BalanceReport:
-    """List every interior vertex whose in- and out-degrees differ."""
-    # The heads name distinct edges, so they are total exactly when there
-    # are as many as host edges and each is one, in normalized form.
+    """List every interior vertex whose in- and out-degrees differ.
+
+    The heads must be total on g's edges: as they name distinct edges, as
+    many as g has, each one in normalized form.  Then each edge at v points
+    into v or out of it, exactly once, so out(v) = deg(v) - in(v).
+    """
     adj = g.adjacency
     n = g.vertex_count
     if len(o.heads) != g.edge_count or not all(
         0 <= u < v < n and v in adj[u] for (u, v), _ in o.heads
     ):
         raise InputError("orientation is not total on the host edge set")
-    indeg = [0] * g.vertex_count
-    outdeg = [0] * g.vertex_count
-    for e, h in o.heads:
+    indeg = [0] * n
+    for _, h in o.heads:
         indeg[h] += 1
-        outdeg[e.u if h == e.v else e.v] += 1
     bad = []
     for v in sorted(g.vertex_set(interior)):
-        if indeg[v] != outdeg[v]:
-            bad.append((v, indeg[v], outdeg[v]))
+        if 2 * indeg[v] != len(adj[v]):
+            bad.append((v, indeg[v], len(adj[v]) - indeg[v]))
     return BalanceReport(tuple(bad))
 
 
@@ -153,15 +150,12 @@ def balanced_orientation_via_gadget(g: Graph) -> Orientation:
             m + t for t in range(len(copy_owner)) if t not in matched
         )
         raise GadgetMatchingError(
-            f"gadget matching not perfect; deficient edge-type nodes: {uncovered}",
-            uncovered,
+            f"gadget matching not perfect; deficient edge-type nodes: {uncovered}"
         )
     o = Orientation(tuple(zip(host_edges, [copy_owner[t] for t in mate])))
     report = verify_balanced(g, o, range(g.vertex_count))
     if not report.passed:
-        raise GadgetMatchingError(
-            f"gadget orientation unbalanced at {report.violations}", ()
-        )
+        raise GadgetMatchingError(f"gadget orientation unbalanced at {report.violations}")
     return o
 
 

@@ -237,8 +237,7 @@ def verify_expansion_lemma(
 ) -> TutteReport:
     """Check the finite-component expansion inequalities on a d-regular window.
 
-    For every X with |X| <= max_x (none at all when max_x = 0, a vacuous
-    pass):
+    For every X with |X| <= max_x, the empty X first, as in every X walk:
 
       (a) each finite component of w - X has edge boundary >= d;
       (b) |X| >= #finite_components(X) + (delta/d) * |hull_fin(X)|.
@@ -266,35 +265,34 @@ def verify_expansion_lemma(
     masks = g.neighbor_masks
     stubs = w.external_stubs
     violations: list[Violation] = []
-    candidates = _subset_count(g.vertex_count, max_x) if max_x else 0
-    if max_x > 0:
-        cuts = _piece_cuts if w.frontier_mask and delta <= d else finite_cuts
-        for xs, xmask, finite in cuts(g, w.frontier_mask, max_x, g.full_mask):
-            hull = xmask
-            # A boundary violation's count is its component's 1-based index.
-            for index, comp in enumerate(finite, 1):
-                hull |= comp
-                boundary = _mask_boundary(masks, stubs, comp)
-                if boundary < d:
-                    violations.append(
-                        Violation(
-                            kind="boundary",
-                            x=xs,
-                            count=index,
-                            hull_size=comp.bit_count(),
-                            slack=Fraction(boundary - d),
-                            component=vertices_of(comp),
-                        )
-                    )
-            hull_size = hull.bit_count()
-            if (len(xs) - len(finite)) * eps_q < eps_p * hull_size:
+    candidates = _subset_count(g.vertex_count, max_x)
+    cuts = _piece_cuts if w.frontier_mask and delta <= d else finite_cuts
+    for xs, xmask, finite in cuts(g, w.frontier_mask, max_x, g.full_mask):
+        hull = xmask
+        # A boundary violation's count is its component's 1-based index.
+        for index, comp in enumerate(finite, 1):
+            hull |= comp
+            boundary = _mask_boundary(masks, stubs, comp)
+            if boundary < d:
                 violations.append(
                     Violation(
-                        kind="expansion",
+                        kind="boundary",
                         x=xs,
-                        count=len(finite),
-                        hull_size=hull_size,
-                        slack=len(xs) - len(finite) - eps * hull_size,
+                        count=index,
+                        hull_size=comp.bit_count(),
+                        slack=Fraction(boundary - d),
+                        component=vertices_of(comp),
                     )
                 )
+        hull_size = hull.bit_count()
+        if (len(xs) - len(finite)) * eps_q < eps_p * hull_size:
+            violations.append(
+                Violation(
+                    kind="expansion",
+                    x=xs,
+                    count=len(finite),
+                    hull_size=hull_size,
+                    slack=len(xs) - len(finite) - eps * hull_size,
+                )
+            )
     return TutteReport(eps, 1, max_x, candidates, tuple(violations))

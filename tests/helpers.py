@@ -874,7 +874,7 @@ def brute_lemma(w: Window, d: int, delta, max_x: int) -> TutteReport:
     g = w.graph
     violations = []
     candidates = 0
-    for xs in iter_subsets(range(g.vertex_count), max_x) if max_x else ():
+    for xs in iter_subsets(range(g.vertex_count), max_x):
         candidates += 1
         rep = hull_report(w, xs)
         for index, comp in enumerate(rep.finite_components, 1):

@@ -66,12 +66,12 @@ class TestGenerate:
         assert g.edge_count == 4
         assert "collapsed" in err
 
-    def test_exactly_one_family_required(self, capsys):
-        code, _, err = run_cli(
-            capsys, "generate", "--fixture", "cycle(4)", "--free-rank", "2"
-        )
-        assert code == 2
-        assert "error" in err
+    def test_exactly_one_family_required(self):
+        # The families are one argparse group: two, or none, is a usage error.
+        for families in (["--fixture", "cycle(4)", "--free-rank", "2"], ["--radius", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["generate", *families])
+            assert exc.value.code == 2
 
     def test_missing_radius(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--free-rank", "2")
@@ -329,7 +329,7 @@ class TestExitCodes:
 
     def test_failed_internal_check_exits_3(self, capsys, cycle4_file, monkeypatch):
         def broken(g):
-            raise orientation.GadgetMatchingError("gadget matching not perfect", (0,))
+            raise orientation.GadgetMatchingError("gadget matching not perfect")
 
         monkeypatch.setattr(orientation, "balanced_orientation_via_gadget", broken)
         code, out, err = run_cli(capsys, "orient", cycle4_file, "--method", "gadget")

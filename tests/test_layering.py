@@ -8,10 +8,10 @@ public surface must be used outside the tests: every function the
 package exports is read, so an oracle only tests call lives in
 ``tests/helpers.py``, not in the package; every option, a parameter with
 a default, is passed by some call and left out by another, since with one
-value in use it would be a constant; every field, property and method
-of an exported class is read, so no fact is kept that nothing asks for;
-and no exported record is a bare one-field wrapper, whose one value its
-holder can keep itself.
+value in use it would be a constant; every field, property, method and
+instance attribute of an exported class is read, so no fact is kept that
+nothing asks for; and no exported record is a bare one-field wrapper,
+whose one value its holder can keep itself.
 """
 
 import ast
@@ -288,10 +288,23 @@ def attribute_reads(source: str) -> set[str]:
     return found
 
 
+def instance_attributes(source: str) -> set[str]:
+    """Public names that source assigns as ``self.<name>``: the attributes
+    a class's methods set on its instances."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+        and not node.attr.startswith("_")
+    }
+
+
 def public_attributes():
     """(class, attribute) for each field, property and method of each
-    exported class: a dataclass's fields, and every public name its body
-    binds (a named tuple's fields among them)."""
+    exported class: a dataclass's fields, every public name its body
+    binds (a named tuple's fields among them), and every public name its
+    methods assign on self."""
     for name in sorted(exported()):
         cls = getattr(tuttelab, name)
         if not inspect.isclass(cls):
@@ -299,6 +312,7 @@ def public_attributes():
         attrs = {a for a in vars(cls) if not a.startswith("_")}
         if dataclasses.is_dataclass(cls):
             attrs.update(f.name for f in dataclasses.fields(cls))
+        attrs |= instance_attributes(inspect.getsource(cls))
         for attr in sorted(attrs):
             yield name, attr
 
@@ -355,6 +369,20 @@ def test_record_reader():
         "class Plain:\n    value: int\n"
     )
     assert bare_records(source) == {"Box", "Pair"}
+
+
+def test_instance_attribute_reader():
+    source = (
+        "class Failure(RuntimeError):\n"
+        "    def __init__(self, message, uncovered):\n"
+        "        super().__init__(message)\n"
+        "        self.uncovered = uncovered\n"
+        "        self.count: int = 0\n"
+        "        self.total += 1\n"
+        "        self._cache = other.name = None\n"
+        "        print(self.message)\n"
+    )
+    assert instance_attributes(source) == {"uncovered", "count", "total"}
 
 
 def test_reference_reader():

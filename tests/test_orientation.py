@@ -237,10 +237,9 @@ class TestBalancedOrientation:
         monkeypatch.setattr(orientation, "_hopcroft_karp", leaves_one_unmatched)
         with pytest.raises(GadgetMatchingError) as caught:
             balanced_orientation_via_gadget(g)
-        assert str(caught.value) == (
-            f"gadget matching not perfect; deficient edge-type nodes: {uncovered}"
+        assert caught.value.args == (
+            f"gadget matching not perfect; deficient edge-type nodes: {uncovered}",
         )
-        assert caught.value.uncovered == uncovered
 
     def test_round_trip_in_degree_identity(self):
         g = fixture("random_regular(10,4,3)")
@@ -340,6 +339,29 @@ class TestVerifyBalanced:
         flipped[e] = e.u if flipped[e] == e.v else e.v
         report = verify_balanced(g, orientation_from_dict(flipped), {2, 3})
         assert report.passed
+
+    @given(even_graphs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_violations_count_heads_directly(self, g, data):
+        # Out-degrees are derived from in-degrees: flip random edges of an
+        # Euler orientation, and each violation's (in, out) must be the
+        # count of the heads into v and of those leaving it.
+        def some(items):
+            keep = data.draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+            return [x for x, kept in zip(items, keep) if kept]
+
+        heads = dict(eulerian_orientation(g).heads)
+        for e in some(sorted(heads)):
+            heads[e] = e.u if heads[e] == e.v else e.v
+        interior = some(range(g.vertex_count))
+        expected = []
+        for v in interior:
+            into = sum(h == v for h in heads.values())
+            out = sum(v in e and h != v for e, h in heads.items())
+            if into != out:
+                expected.append((v, into, out))
+        report = verify_balanced(g, orientation_from_dict(heads), interior)
+        assert report.violations == tuple(expected)
 
 
 class TestHallAudit:

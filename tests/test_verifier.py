@@ -415,11 +415,15 @@ class TestExpansionLemma:
             v.kind == "expansion" and v.x == (0,) for v in rep.violations
         )
 
-    def test_max_x_zero_is_vacuous(self):
+    def test_max_x_zero_checks_the_empty_x(self):
+        # |X| <= 0 still admits X = {}: the walk checks it, and reports the
+        # same violations at it as any larger bound does.
         w = Window.closed(fixture("complete(4)"))
         rep = verify_expansion_lemma(w, 3, Fraction(2, 3), 0)
-        assert rep.passed
-        assert rep.candidates == 0
+        wider = verify_expansion_lemma(w, 3, Fraction(2, 3), 1)
+        assert rep.candidates == 1
+        assert rep.violations == tuple(v for v in wider.violations if v.x == ())
+        assert [v.kind for v in rep.violations] == ["boundary", "expansion"]
 
     def test_non_regular_rejected(self):
         w = Window.closed(fixture("path(3)"))
