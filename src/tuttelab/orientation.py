@@ -23,15 +23,16 @@ of one host vertex are twins (the same gadget neighbors, the same stub
 credit), so an F's ratios depend only on its owner set and its size: the
 audit scores, per owner set, the largest F it allows (and, for an owner
 set with no gadget neighbor, the smallest), since no other F can be the
-least (size, lex) minimiser; it builds an F only for an owner set that
-ties or beats a running minimum.  Its ``checked`` counts every F covered.
+least (size, lex) minimiser.  Owner sets are walked depth first, past
+every superset that cannot reach a running minimum; F is built only for
+one that ties or beats it.  Its ``checked`` counts every F covered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -41,7 +42,6 @@ from .core import (
     Window,
     _min_ratios,
     _subset_count,
-    iter_subsets,
     mask_of,
 )
 from .matching import _hopcroft_karp
@@ -271,9 +271,12 @@ def check_gadget_hall_expansion(
     the run-firsts F when O has no gadget neighbor.  No other F can be
     the least (size, lex) minimiser: O fixes both numerators, so where
     one is positive its ratio falls strictly as |F| grows, and where it
-    is zero every size ties and the least size wins.  An owner set, a
-    tuple of run indices, is scored from its runs' neighbor masks, credits
-    and lengths, and F is built only when it can be the witness.
+    is zero every size ties and the least size wins.  Owner sets are
+    walked depth first, a child adding one later run's mask, credit and
+    length to its parent's; F is built only when it can be the witness.
+    An O whose numerators over max_f both exceed their running minima is
+    skipped with all below it: a superset has O's neighbors and credit or
+    more and at most max_f nodes, so its ratios exceed the same minima.
     ``checked`` still counts every F covered, the nonempty subsets of the
     side with at most max_f nodes.
 
@@ -308,18 +311,30 @@ def check_gadget_hall_expansion(
         scores = [(nbrs, credit, len(nodes)) for nodes, nbrs, credit in runs]
 
         def scored() -> Iterator[tuple]:
-            for owned in islice(iter_subsets(range(len(runs)), max_f), 1, None):
-                nmask = stubs = total = 0
-                for r in owned:
-                    nbrs, credit, length = scores[r]
-                    nmask |= nbrs
-                    stubs += credit
-                    total += length
+            # Running minima p/q (1/0 is +infinity), kept from first items: a
+            # run-firsts item never falls below its owner set's first.
+            raw_p, raw_q, cr_p, cr_q = 1, 0, 1, 0
+            stack = [((r,), *score) for r, score in enumerate(scores)]
+            while stack:
+                owned, nmask, stubs, total = stack.pop()
                 count = nmask.bit_count()
+                credited = 2 * count + stubs
+                if count * raw_q > raw_p * max_f and credited * cr_q > cr_p * 2 * max_f:
+                    continue  # neither O nor any superset can be a witness
                 size = total if total < max_f else max_f
-                yield (owned, size), count, size, 2 * count + stubs, 2 * size
+                yield (owned, size), count, size, credited, 2 * size
+                if count * raw_q < raw_p * size:
+                    raw_p, raw_q = count, size
+                if credited * cr_q < cr_p * 2 * size:
+                    cr_p, cr_q = credited, 2 * size
                 if not nmask and size > len(owned):
                     yield (owned, len(owned)), 0, len(owned), stubs, 2 * len(owned)
+                if len(owned) < max_f:
+                    last = owned[-1] + 1
+                    stack.extend(
+                        (owned + (r,), nmask | nbrs, stubs + credit, total + length)
+                        for r, (nbrs, credit, length) in enumerate(scores[last:], last)
+                    )
 
         def lex_least(key: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
             # Each owner's first node, then the least remaining ones.

@@ -474,6 +474,11 @@ class TestHallAudit:
              Fraction(1, 5), 2)
     @example(stubbed(Graph.from_edges(4, [(0, 2), (1, 2)]), (3, 3, 0, 0)),
              Fraction(1, 5), 3)
+    # Ties abound: every edge node of a cycle, and every leaf of the
+    # free(2) radius-1 ball, scores alike, so the walk's skips must keep
+    # the least (size, lex) witness.
+    @example(Window.closed(fixture("cycle(6)")), Fraction(1, 5), 4)
+    @example(cayley_ball(GroupSpec.free(2), 1), Fraction(1, 5), 4)
     @settings(max_examples=150, deadline=None)
     def test_matches_all_subsets_oracle(self, w, epsilon, max_f):
         # Field for field: both minima, their witnesses and checked, against
@@ -485,17 +490,55 @@ class TestHallAudit:
     @pytest.mark.parametrize("max_f, value, witness, owners", [
         (7, Fraction(7, 6), (18, 19, 26, 27, 28, 29), {1, 5, 6}),
         (8, Fraction(17, 16), (18, 19, 26, 27, 28, 29, 30, 31), {1, 5, 6, 7}),
+        (5, Fraction(5, 4), (26, 27), {5}),
+        (6, Fraction(7, 6), (18, 19, 26, 27, 28, 29), {1, 5, 6}),
+        (9, Fraction(17, 16), (18, 19, 26, 27, 28, 29, 30, 31), {1, 5, 6, 7}),
+        (10, Fraction(17, 16), (18, 19, 26, 27, 28, 29, 30, 31), {1, 5, 6, 7}),
     ])
     def test_credited_minimum_falls_past_the_bound(self, max_f, value, witness, owners):
-        # The README's bound dependence: 5/4 at max_f 4-5 (pinned above),
-        # then 7/6 and 17/16.  The witnesses are every copy of radius-1
-        # vertex 1 and of two, then all three, of its frontier children.
+        # The README's bound dependence: 5/4 at max_f 4-5 (4 is pinned
+        # above), 7/6 at 6-7 and 17/16 at 8-10.  The witnesses are every
+        # copy of frontier vertex 5, then of radius-1 vertex 1 and of two,
+        # then all three, of its frontier children.
         w = cayley_ball(GroupSpec.free(2), 2)
         gad = build_gadget(w.graph, w.external_stubs)
         side = check_gadget_hall_expansion(w, 0, max_f).vertex_side
         assert (side.min_ratio_credited, side.witness_credited) == (value, witness)
         assert {gad.owner_of(node) for node in witness} == owners
         assert all(list(w.graph.adjacency[v]) == [1] for v in owners - {1})
+
+    @pytest.mark.parametrize("max_f, edge, vertex", [
+        (5, (Fraction(12, 5), (0, 1, 2, 3, 4)),
+         (Fraction(1, 2), (86, 87), Fraction(5, 4), (86, 87))),
+        (6, (Fraction(7, 3), (0, 1, 2, 3, 4, 5)),
+         (Fraction(1, 2), (86, 87), Fraction(7, 6), (62, 63, 86, 87, 88, 89))),
+    ])
+    def test_radius3_ball_minima(self, max_f, edge, vertex):
+        # The paper-scale audit, pinned from the all-owner-sets walk; on the
+        # edge side the credited minimum and witness are the raw ones.
+        rep = check_gadget_hall_expansion(cayley_ball(GroupSpec.free(2), 3), 0, max_f)
+        e, v = rep.edge_side, rep.vertex_side
+        assert (e.min_ratio, e.witness) == edge
+        assert (e.min_ratio_credited, e.witness_credited) == edge
+        assert (v.min_ratio, v.witness) == vertex[:2]
+        assert (v.min_ratio_credited, v.witness_credited) == vertex[2:]
+
+    def test_walk_skips_supersets(self, monkeypatch):
+        # Structural, not timed: on the free(2) radius-3 ball at max_f 4 the
+        # audit scores a few thousand owner sets where scoring every one of
+        # at most 4 runs takes 611 885.
+        scored = []
+        min_ratios = orientation._min_ratios
+
+        def counting(items, witness, count):
+            items = list(items)
+            scored.append(len(items))
+            return min_ratios(items, witness, count)
+
+        monkeypatch.setattr(orientation, "_min_ratios", counting)
+        check_gadget_hall_expansion(cayley_ball(GroupSpec.free(2), 3), 0, 4)
+        assert len(scored) == 2  # one walk per side
+        assert sum(scored) < 10_000
 
     def test_negative_epsilon_rejected(self):
         w = Window.closed(fixture("cycle(4)"))
