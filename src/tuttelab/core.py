@@ -15,16 +15,16 @@ Each graph question is answered here once: vertex ids by
 :func:`finite_cuts` (over X), :func:`_piece_cuts` (the X that can cut off a
 finite piece, found by :func:`_pieces`), :func:`_connected_sets` (connected
 F) and :func:`_min_ratios` (the least ratio over scored F, each F built
-only if it can be the witness).  Both X walks hand the windows with a
-frontier, and the closed ones where every X misses a component of G, to one
-seeded walk, :func:`_open_cuts`: the only code that reuses G's components.
-It searches only from N(X), joins the finite components of G that X misses,
-and sorts once.  These kernels are the package's only component search; a
-single X, such as the empty one a layered certificate asks about, is the
-first item of :func:`finite_cuts` with ``max_x = 0``.  The X walks read g
-under a live mask: the subgraph induced on it, named by g's ids, so a
-caller that deletes vertices asks its questions of one host graph, never of
-a copy.
+only if it can be the witness, under running minima that the Hall audit's
+walk reads).  Both X walks hand the windows with a frontier, and the closed
+ones where every X misses a component of G, to one seeded walk,
+:func:`_open_cuts`: the only code that reuses G's components.  It searches
+only from N(X), joins the finite components of G that X misses, and sorts
+once.  These kernels are the package's only component search; a single X,
+such as the empty one a layered certificate asks about, is the first item
+of :func:`finite_cuts` with ``max_x = 0``.  The X walks read g under a live
+mask: the subgraph induced on it, named by g's ids, so a caller that
+deletes vertices asks its questions of one host graph, never of a copy.
 """
 
 from __future__ import annotations
@@ -552,20 +552,23 @@ def _connected_sets(masks: Sequence[int], pool: int, max_f: int) -> Iterator[int
 
 
 def _min_ratios(
-    items: Iterable[tuple], witness: Callable, count: int
+    walk: Callable[[list], Iterable[tuple]], witness: Callable, count: int
 ) -> tuple[int, list[tuple[Fraction | None, tuple[int, ...]]]]:
     """Number of items, and per ratio position the least value with its witness.
 
-    An item ``(key, p0, q0, p1, q1, ...)`` scores F = ``witness(key)`` by
-    ``count`` pairs p/q, q > 0, compared by cross-multiplication; F is built
-    only for an item that ties or beats a running minimum.  Ties go to the F
-    least by (size, lex), so the witness is the same whatever order ``items``
-    come in; (None, ()) when there is no item.
+    The items come from ``walk(best)``: ``best[i]`` is position i's running
+    minimum ``(p, q, F)``, 1/0 until an item is taken, updated (a tie may
+    change its terms) before the walk resumes, so a walk may read it to skip
+    items.  An item ``(key, p0, q0, p1, q1, ...)`` scores F = ``witness(key)``
+    by ``count`` pairs p/q, q > 0, compared by cross-multiplication; F is
+    built only for an item that ties or beats a running minimum.  Ties go to
+    the F least by (size, lex), so the witness is the same whatever order the
+    items come in; (None, ()) when there is no item.
     """
     best = [(1, 0, ())] * count  # 1/0 stands for +infinity
     slots = [(i, 2 * i + 1, 2 * i + 2) for i in range(count)]
     checked = 0
-    for item in items:
+    for item in walk(best):
         checked += 1
         fs = ()
         for i, a, b in slots:

@@ -320,6 +320,8 @@ def tutte_berge_deficiency(g: Graph, max_x: int) -> DeficiencyReport:
     the vertex count is always sufficient.  The empty set is enumerated,
     so the result is never below the count of odd components of g itself,
     and every candidate value is parity-consistent with the vertex count.
+    It keeps its own running maximum: routed through ``core._min_ratios`` it
+    ran the closed-corpus benchmark 1-7% slower.
     """
     if max_x < 0:
         raise InputError("max_x must be nonnegative")

@@ -24,8 +24,9 @@ credit), so an F's ratios depend only on its owner set and its size: the
 audit scores, per owner set, the largest F it allows (and, for an owner
 set with no gadget neighbor, the smallest), since no other F can be the
 least (size, lex) minimiser.  Owner sets are walked depth first, past
-every superset that cannot reach a running minimum; F is built only for
-one that ties or beats it.  Its ``checked`` counts every F covered.
+every superset that cannot reach the running minima, which the walk reads
+from core's ratio kernel; F is built only for one that ties or beats them.
+Its ``checked`` counts every F covered.
 """
 
 from __future__ import annotations
@@ -274,9 +275,10 @@ def check_gadget_hall_expansion(
     is zero every size ties and the least size wins.  Owner sets are
     walked depth first, a child adding one later run's mask, credit and
     length to its parent's; F is built only when it can be the witness.
-    An O whose numerators over max_f both exceed their running minima is
-    skipped with all below it: a superset has O's neighbors and credit or
-    more and at most max_f nodes, so its ratios exceed the same minima.
+    An O whose numerators over max_f both exceed the running minima, read
+    from ``_min_ratios`` as it scores, is skipped with all below it: a
+    superset has O's neighbors and credit or more and at most max_f nodes,
+    so its ratios exceed the same minima.
     ``checked`` still counts every F covered, the nonempty subsets of the
     side with at most max_f nodes.
 
@@ -310,23 +312,17 @@ def check_gadget_hall_expansion(
     def audit(runs: list[tuple[tuple[int, ...], int, int]]) -> HallSide:
         scores = [(nbrs, credit, len(nodes)) for nodes, nbrs, credit in runs]
 
-        def scored() -> Iterator[tuple]:
-            # Running minima p/q (1/0 is +infinity), kept from first items: a
-            # run-firsts item never falls below its owner set's first.
-            raw_p, raw_q, cr_p, cr_q = 1, 0, 1, 0
+        def scored(best: list[tuple]) -> Iterator[tuple]:
             stack = [((r,), *score) for r, score in enumerate(scores)]
             while stack:
                 owned, nmask, stubs, total = stack.pop()
                 count = nmask.bit_count()
                 credited = 2 * count + stubs
+                (raw_p, raw_q, _), (cr_p, cr_q, _) = best  # 1/0 is +infinity
                 if count * raw_q > raw_p * max_f and credited * cr_q > cr_p * 2 * max_f:
                     continue  # neither O nor any superset can be a witness
                 size = total if total < max_f else max_f
                 yield (owned, size), count, size, credited, 2 * size
-                if count * raw_q < raw_p * size:
-                    raw_p, raw_q = count, size
-                if credited * cr_q < cr_p * 2 * size:
-                    cr_p, cr_q = credited, 2 * size
                 if not nmask and size > len(owned):
                     yield (owned, len(owned)), 0, len(owned), stubs, 2 * len(owned)
                 if len(owned) < max_f:
@@ -347,10 +343,8 @@ def check_gadget_hall_expansion(
                 room -= take
             return fs
 
-        _, [(raw, witness), (credited, witness_credited)] = _min_ratios(
-            scored(), lex_least, 2
-        )
+        _, [(raw, witness), (cr, cr_witness)] = _min_ratios(scored, lex_least, 2)
         checked = _subset_count(sum(len(nodes) for nodes, _, _ in runs), max_f) - 1
-        return HallSide(checked, raw, witness, credited, witness_credited)
+        return HallSide(checked, raw, witness, cr, cr_witness)
 
     return GadgetHallReport(epsilon, max_f, audit(edge_runs), audit(copy_runs))

@@ -210,11 +210,11 @@ def expansion_constant(w: Window, max_f: int) -> ExpansionReport:
         raise InputError("window has no vertices")
     masks = w.graph.neighbor_masks
     stubs = w.external_stubs
-    items = (
+    items = (  # no skip rule, so best goes unread: a superset's boundary can shrink
         (f, _mask_boundary(masks, stubs, f), f.bit_count())
         for f in _connected_sets(masks, w.graph.full_mask, max_f)
     )
-    checked, [(delta, witness)] = _min_ratios(items, vertices_of, 1)
+    checked, [(delta, witness)] = _min_ratios(lambda best: items, vertices_of, 1)
     return ExpansionReport(
         delta_lower=delta,
         delta_witness=witness,

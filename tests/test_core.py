@@ -519,13 +519,13 @@ class TestMinRatios:
             for size in range(1, 6)
             for fs in itertools.combinations(range(8), size)
         ]
-        want = _min_ratios(items, vertices_of, 2)
+        want = _min_ratios(lambda best: items, vertices_of, 2)
         assert want[1][0][1] == (0, 1, 2, 3, 4)
         assert want[1][1][1] == (0,)
         rng = random.Random(4)
         for _ in range(5):
             rng.shuffle(items)
-            assert _min_ratios(items, vertices_of, 2) == want
+            assert _min_ratios(lambda best: items, vertices_of, 2) == want
 
     def test_witness_built_only_for_a_tie_or_a_new_minimum(self):
         # Keys name their items; each is scored (p0, q0, p1, q1).  Items 1
@@ -545,13 +545,34 @@ class TestMinRatios:
             built.append(key)
             return (9 - key,)
 
-        checked, best = _min_ratios(items, witness, 2)
+        checked, best = _min_ratios(lambda best: items, witness, 2)
         assert built == [0, 2, 3]
         assert checked == 5
         assert best == [(Fraction(1, 2), (7,)), (Fraction(1), (6,))]
 
     def test_no_items(self):
-        assert _min_ratios([], vertices_of, 2) == (0, [(None, ())] * 2)
+        assert _min_ratios(lambda best: [], vertices_of, 2) == (0, [(None, ())] * 2)
+
+    def test_walk_reads_the_prefix_minima(self):
+        # Before each item the walk sees the minimum (p, q, F) of the items
+        # before it, 1/0 before the first.  Item 1 ties with a larger F and
+        # leaves it; item 2 ties with a lex-smaller F and takes its place,
+        # holding 2/1 as 4/2.
+        items = [((3,), 2, 1), ((1, 2), 2, 1), ((0,), 4, 2), ((5,), 1, 1)]
+        seen = []
+
+        def walk(best):
+            for item in items:
+                seen.append(list(best))
+                yield item
+
+        assert _min_ratios(walk, tuple, 1) == (4, [(Fraction(1), (5,))])
+        assert seen == [
+            [(1, 0, ())],
+            [(2, 1, (3,))],
+            [(2, 1, (3,))],
+            [(4, 2, (0,))],
+        ]
 
 
 class TestWindowValidation:

@@ -524,21 +524,46 @@ class TestHallAudit:
         assert (v.min_ratio_credited, v.witness_credited) == vertex[2:]
 
     def test_walk_skips_supersets(self, monkeypatch):
-        # Structural, not timed: on the free(2) radius-3 ball at max_f 4 the
-        # audit scores a few thousand owner sets where scoring every one of
-        # at most 4 runs takes 611 885.
+        # Structural, not timed: on the free(2) radius-3 ball the audit
+        # scores 7 456 owner sets at max_f 4 and 39 526 at 5, where scoring
+        # every one of at most max_f runs takes 611 885 and 6 080 530; and
+        # 7 454 on the non-bipartite Z3*Z3 radius-4 ball at 4.  The counts,
+        # edge side then vertex side, are the kernel's own.
         scored = []
         min_ratios = orientation._min_ratios
 
-        def counting(items, witness, count):
-            items = list(items)
-            scored.append(len(items))
-            return min_ratios(items, witness, count)
+        def counting(walk, witness, count):
+            checked, best = min_ratios(walk, witness, count)
+            scored.append(checked)
+            return checked, best
 
         monkeypatch.setattr(orientation, "_min_ratios", counting)
-        check_gadget_hall_expansion(cayley_ball(GroupSpec.free(2), 3), 0, 4)
-        assert len(scored) == 2  # one walk per side
-        assert sum(scored) < 10_000
+        free2 = cayley_ball(GroupSpec.free(2), 3)
+        z3z3 = cayley_ball(GroupSpec.free_product_of_cyclic([3, 3]), 4)
+        for w, max_f, want in [
+            (free2, 4, [6773, 683]),
+            (free2, 5, [38807, 719]),
+            (z3z3, 4, [7377, 77]),
+        ]:
+            scored.clear()
+            check_gadget_hall_expansion(w, 0, max_f)
+            assert scored == want
+
+    def test_non_bipartite_ball(self):
+        # The Z3*Z3 radius-4 ball (61 vertices) has triangles, where the
+        # free(2) balls are trees.  On the edge side the credited minimum is
+        # the raw one; on the vertex side both fall on the copies of
+        # frontier vertices 29 and 30, which close a triangle with 13: three
+        # gadget neighbors and four stubs for four copies.
+        w = cayley_ball(GroupSpec.free_product_of_cyclic([3, 3]), 4)
+        rep = check_gadget_hall_expansion(w, 0, 4)
+        e, v = rep.edge_side, rep.vertex_side
+        assert (e.min_ratio, e.witness) == (2, (0, 1, 4))
+        assert (e.min_ratio_credited, e.witness_credited) == (2, (0, 1, 4))
+        assert (v.min_ratio, v.witness) == (Fraction(3, 4), (148, 149, 150, 151))
+        assert (v.min_ratio_credited, v.witness_credited) == (
+            Fraction(5, 4), (148, 149, 150, 151)
+        )
 
     def test_negative_epsilon_rejected(self):
         w = Window.closed(fixture("cycle(4)"))
